@@ -141,7 +141,7 @@ impl EngineFixture {
     }
 
     /// The same ingest with dedup shards spilling to the crash-safe
-    /// segment store and a durable (quiesce + commit) checkpoint every
+    /// segment store and a durable (fold + commit) checkpoint every
     /// [`STORE_CHECKPOINT_EVERY`] documents — the full price of
     /// store-backed durability. Leaves the populated store in `dir` so
     /// [`EngineFixture::store_resume_seconds`] can measure reopen cost.
@@ -169,7 +169,7 @@ impl EngineFixture {
         for (i, (period, doc)) in self.docs.iter().enumerate() {
             session.ingest(*period, doc.clone()).expect("engine up");
             if (i + 1) % STORE_CHECKPOINT_EVERY == 0 {
-                let snapshot = session.checkpoint().expect("session quiesces");
+                let snapshot = session.checkpoint().expect("session checkpoints");
                 let json = serde_json::to_string(&snapshot).expect("checkpoint encodes");
                 table
                     .put(&"checkpoint".to_string(), &json)

@@ -6,7 +6,7 @@
 //! OPTIONS:
 //!   --scale <0..1]     corpus scale (default 0.05; 1.0 = paper scale)
 //!   --seed <u64>       master seed (default: the study default)
-//!   --workers <n>      ingest-engine stage workers (default: all cores)
+//!   --workers <n>      ingest-engine share of the stage pool (default: all cores)
 //!   --shards <n>       ingest-engine dedup shards (default: 8)
 //!   --reference        run the sequential reference pipeline instead of
 //!                      the streaming engine (identical output, slower)
@@ -208,7 +208,7 @@ const TABLE_IDS: [&str; 15] = [
 const HELP: &str = "repro — regenerate every table/figure of the doxing study
   --scale <0..1]   corpus scale (default 0.05; 1.0 = paper scale)
   --seed <u64>     master seed
-  --workers <n>    ingest-engine stage workers (default: all cores)
+  --workers <n>    ingest-engine share of the stage pool (default: all cores)
   --shards <n>     ingest-engine dedup shards (default: 8)
   --reference      use the sequential reference pipeline (same output)
   --table <id>     fig1 t1 t2 t3 t4 t5 t6 t7 t8 t9 t10 fig2 fig3 v-ip v-comments

@@ -140,7 +140,7 @@ pub struct StudyConfig {
     pub ip_validation_sample: usize,
     /// Extractor-evaluation sample size (paper: 125).
     pub extractor_sample: usize,
-    /// Ingest-engine topology ([`Study::run`]'s worker/shard/queue
+    /// Ingest-engine topology ([`Study::run`]'s worker/shard/chunk
     /// layout). Never affects the report — only throughput.
     pub engine: EngineConfig,
     /// Deterministic fault plan injected at the collection, probe,
@@ -291,7 +291,7 @@ impl StudyConfigBuilder {
         self
     }
 
-    /// Set the ingest-engine topology (workers, shards, queue depth).
+    /// Set the ingest-engine topology (workers, shards, chunk size).
     pub fn engine(mut self, engine: EngineConfig) -> Self {
         self.config.engine = engine;
         self
@@ -479,7 +479,7 @@ struct StudyCheckpoint {
     /// deterministic generation/collection replays and the first
     /// `docs_ingested` deliveries skip the (already absorbed) ingest.
     docs_ingested: u64,
-    /// The engine's quiescent state.
+    /// The engine's folded state.
     session: SessionCheckpoint,
 }
 
@@ -494,9 +494,9 @@ impl serde::Deserialize for StudyCheckpoint {
 }
 
 /// What a resumed run must match: the corpus identity (seed + volume),
-/// the dedup partitioning (shards) and the fault schedule. Worker count,
-/// queue depth and chunk size may all change freely between the killed
-/// run and the resume.
+/// the dedup partitioning (shards) and the fault schedule. Worker count
+/// and chunk size may change freely between the killed run and the
+/// resume.
 fn config_fingerprint(cfg: &StudyConfig) -> u64 {
     let plan = cfg.faults.as_ref().map_or(0, FaultPlanConfig::fingerprint);
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
@@ -803,7 +803,7 @@ impl Study {
 
             // Durability: `resume` replays the deterministic corpus and
             // skips the deliveries the checkpointed engine has already
-            // absorbed; periodic checkpoints snapshot the quiesced engine.
+            // absorbed; periodic checkpoints snapshot the folded engine state.
             let fingerprint = config_fingerprint(cfg);
             let store_mode = cfg.durability.store;
             let checkpoint_path = if store_mode {

@@ -1,13 +1,10 @@
-//! Session checkpoints: the serializable quiescent state of an ingest
-//! run.
+//! Session checkpoints: the serializable folded state of an ingest run.
 //!
-//! A checkpoint is taken only at **quiescence** — every dispatched chunk
-//! routed, every routed dox committed (see
-//! [`Session::checkpoint`](crate::Session::checkpoint)). At that moment
-//! both reorder buffers are empty, so the only sequencing state worth
-//! persisting is the pair of cursors (`next_chunk_seq`, `dox_seq`); the
-//! heavy state is the dedup shards, the funnel counters and the detected
-//! log. Restoring a checkpoint into a fresh session and replaying the
+//! A session folds chunks in order in the caller's thread, so once
+//! [`Session::checkpoint`](crate::Session::checkpoint) has folded
+//! everything in flight there is no sequencing state left to persist —
+//! only the funnel counters, the detected log and the dedup shards.
+//! Restoring a checkpoint into a fresh session and replaying the
 //! remaining document stream yields output byte-identical to the
 //! uninterrupted run — the property the fault-matrix test enforces.
 //!
@@ -23,9 +20,9 @@ use std::collections::BTreeSet;
 
 /// Format version stamped into every checkpoint; bumped on any encoding
 /// change so a stale file is rejected instead of misread.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
-/// The complete quiescent state of a [`Session`](crate::Session).
+/// The complete folded state of a [`Session`](crate::Session).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SessionCheckpoint {
     /// Encoding version ([`CHECKPOINT_VERSION`]).
@@ -34,34 +31,43 @@ pub struct SessionCheckpoint {
     /// resumed under any worker count but **only** the same shard count —
     /// dedup state is partitioned by `signature % shards`.
     pub shards: usize,
-    /// The next chunk sequence number the session will stamp (and the
-    /// router's reorder cursor — equal at quiescence).
-    pub next_chunk_seq: u64,
-    /// The next dox sequence number the router will stamp (and the
-    /// committer's reorder cursor — equal at quiescence).
-    pub dox_seq: u64,
-    /// Funnel counters accumulated by the router (document-level half).
-    pub router_counters: PipelineCounters,
+    /// Figure 1 funnel counters so far.
+    pub counters: PipelineCounters,
     /// Ids of documents labeled dox so far.
     pub dox_ids: BTreeSet<u64>,
     /// Documents lost to poisoned stage workers so far.
     pub stage_gap_docs: u64,
-    /// Funnel counters accumulated by the committer (dedup-level half).
-    pub committer_counters: PipelineCounters,
     /// Every detected dox committed so far, stream order.
     pub detected: Vec<DetectedDox>,
     /// One snapshot per dedup shard, shard order.
     pub dedups: Vec<DedupSnapshot>,
 }
 
+impl SessionCheckpoint {
+    /// The state of a session that has ingested nothing.
+    pub(crate) fn empty(shards: usize) -> Self {
+        Self {
+            version: CHECKPOINT_VERSION,
+            shards,
+            counters: PipelineCounters::default(),
+            dox_ids: BTreeSet::new(),
+            stage_gap_docs: 0,
+            detected: Vec::new(),
+            dedups: vec![DedupSnapshot::default(); shards],
+        }
+    }
+}
+
 impl Deserialize for SessionCheckpoint {
     fn from_value(value: &Value) -> Option<Self> {
-        let checkpoint = SessionCheckpoint {
-            version: u32::try_from(value.get("version")?.as_u64()?).ok()?,
+        let version = u32::try_from(value.get("version")?.as_u64()?).ok()?;
+        if version != CHECKPOINT_VERSION {
+            return None;
+        }
+        Some(SessionCheckpoint {
+            version,
             shards: usize::try_from(value.get("shards")?.as_u64()?).ok()?,
-            next_chunk_seq: value.get("next_chunk_seq")?.as_u64()?,
-            dox_seq: value.get("dox_seq")?.as_u64()?,
-            router_counters: PipelineCounters::from_value(value.get("router_counters")?)?,
+            counters: PipelineCounters::from_value(value.get("counters")?)?,
             dox_ids: value
                 .get("dox_ids")?
                 .as_array()?
@@ -69,7 +75,6 @@ impl Deserialize for SessionCheckpoint {
                 .map(Value::as_u64)
                 .collect::<Option<BTreeSet<_>>>()?,
             stage_gap_docs: value.get("stage_gap_docs")?.as_u64()?,
-            committer_counters: PipelineCounters::from_value(value.get("committer_counters")?)?,
             detected: value
                 .get("detected")?
                 .as_array()?
@@ -82,8 +87,7 @@ impl Deserialize for SessionCheckpoint {
                 .iter()
                 .map(DedupSnapshot::from_value)
                 .collect::<Option<Vec<_>>>()?,
-        };
-        (checkpoint.version == CHECKPOINT_VERSION).then_some(checkpoint)
+        })
     }
 }
 
@@ -99,7 +103,7 @@ mod tests {
         let mut dedup = Deduplicator::new();
         let body = "Name: A Person\nfb: a.person9";
         dedup.check(3, body, &extract(body));
-        let router_counters = PipelineCounters {
+        let counters = PipelineCounters {
             total: 5,
             per_period: [3, 2],
             per_source: [("pastebin.com".to_string(), 5)].into_iter().collect(),
@@ -109,12 +113,9 @@ mod tests {
         SessionCheckpoint {
             version: CHECKPOINT_VERSION,
             shards: 2,
-            next_chunk_seq: 4,
-            dox_seq: 1,
-            router_counters,
+            counters,
             dox_ids: [3u64].into_iter().collect(),
             stage_gap_docs: 0,
-            committer_counters: PipelineCounters::default(),
             detected: vec![DetectedDox {
                 doc_id: 3,
                 source: Source::Pastebin,
@@ -149,5 +150,20 @@ mod tests {
             serde_json::from_str::<SessionCheckpoint>(&json).is_err(),
             "future version must not parse"
         );
+    }
+
+    #[test]
+    fn version_one_files_are_rejected() {
+        let mut value = sample().to_value();
+        let Value::Object(fields) = &mut value else {
+            panic!("a checkpoint encodes as an object");
+        };
+        for (name, field) in fields.iter_mut() {
+            if name == "version" {
+                *field = 1u64.to_value();
+            }
+        }
+        let json = serde_json::to_string(&value).expect("serializes");
+        assert!(serde_json::from_str::<SessionCheckpoint>(&json).is_err());
     }
 }

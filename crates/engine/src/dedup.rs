@@ -1,5 +1,5 @@
-//! De-duplication (paper §3.1.4), including the shard routing that lets
-//! the engine run many de-duplicators in parallel.
+//! De-duplication (paper §3.1.4), including the signature sharding that
+//! partitions the engine's dedup state.
 //!
 //! Two passes, in the paper's order:
 //!
@@ -16,16 +16,19 @@
 //!
 //! ## Sharding
 //!
-//! [`Deduplicator`] is stateful and order-sensitive, which is why the
-//! original pipeline ran it serially. But the state two documents share is
-//! fully determined by their *routing signature* ([`shard_signature`]):
+//! [`Deduplicator`] is stateful and order-sensitive, so the engine runs it
+//! in its sequential fold. Its state is still partitioned: the state two
+//! documents share is fully determined by their *routing signature*
+//! ([`shard_signature`]):
 //! the account-set key when one is extracted, otherwise the body hash.
 //! Extraction is a pure function of the body, so byte-identical bodies
 //! always carry identical account sets — every pair of documents that
 //! could ever match lands on the same signature, and therefore on the
 //! same shard under [`shard_of`]. Running one `Deduplicator` per shard
 //! over each shard's documents *in stream order* yields verdicts
-//! bit-identical to one global deduplicator over the whole stream.
+//! bit-identical to one global deduplicator over the whole stream — so
+//! each partition can spill to its own store tables, and a checkpoint
+//! pins the partition count.
 
 use dox_extract::record::ExtractedDox;
 use dox_osn::network::Network;

@@ -1,15 +1,15 @@
-//! `dox-engine` — the sharded streaming ingest engine.
+//! `dox-engine` — the streaming ingest engine: parallel classify,
+//! sequential fold.
 //!
-//! The batch pipeline in `dox-core` processes the collected corpus in
-//! fill-then-drain batches: collect 8 k documents, block, fan the pure
-//! stage out, reduce, repeat. This crate replaces that with a streaming
-//! topology — a bounded work queue with real backpressure, a pool of
-//! stage workers, dedup state sharded by account-set signature, and
-//! sequence-number reorder buffers in front of every stateful commit —
-//! while keeping the output **byte-identical** to a sequential pass for
-//! any `(workers, shards)` configuration. Determinism is the contract:
-//! an [`crate::output::PipelineOutput`] is a pure function of the
-//! document stream, never of thread scheduling.
+//! The classifier is the one expensive step of the Figure 1 pipeline, so
+//! it is the one step that runs in parallel: a process-wide stage pool
+//! classifies and extracts whole chunks of documents, and each session
+//! folds the staged chunks — funnel counters, dedup over signature-sharded
+//! state, the detected-dox log — in order, in the caller's thread. The
+//! output is therefore **byte-identical** to a sequential pass for any
+//! `(workers, shards, chunk)` configuration by construction: an
+//! [`crate::output::PipelineOutput`] is a pure function of the document
+//! stream, never of thread scheduling.
 //!
 //! # Example
 //!
@@ -54,8 +54,7 @@
 pub mod checkpoint;
 pub mod dedup;
 pub mod output;
-pub mod queue;
-pub mod reorder;
+mod pool;
 pub mod session;
 pub mod stage;
 
@@ -71,7 +70,7 @@ use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// The panic message recovered from a dead engine thread — the chained
+/// The panic message recovered from a panicking stage — the chained
 /// [`source`](std::error::Error::source) behind
 /// [`EngineError::StageFailed`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,22 +88,18 @@ impl std::error::Error for StagePanic {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum EngineError {
-    /// `workers` was zero — nothing would ever pop the work queue.
+    /// `workers` was zero — no chunk could ever reach the stage pool.
     ZeroWorkers,
     /// `shards` was zero — no dedup shard to route doxes to.
     ZeroShards,
-    /// `queue_depth` was zero — the first push would deadlock.
-    ZeroQueueDepth,
     /// `chunk` was zero — chunks could never fill and dispatch.
     ZeroChunk,
     /// `ingest` was handed a period outside the study's two collection
     /// periods.
     InvalidPeriod(u8),
-    /// A stage queue was closed while the session was still feeding it
-    /// (only possible if a downstream thread died).
-    Disconnected,
-    /// A named engine thread panicked; the recovered panic message is the
-    /// chained [`source`](std::error::Error::source).
+    /// The stage panicked on a chunk; the recovered panic message is the
+    /// chained [`source`](std::error::Error::source). The session is
+    /// failed from then on.
     StageFailed {
         /// Which pipeline stage died.
         stage: &'static str,
@@ -120,8 +115,6 @@ pub enum EngineError {
         /// Shards the checkpoint was taken with.
         found: usize,
     },
-    /// The pipeline failed to quiesce within the checkpoint deadline.
-    CheckpointStalled,
     /// [`SessionBuilder::start`] was called without a detector — there is
     /// no default classifier, so the session could never label anything.
     MissingDetector,
@@ -130,22 +123,17 @@ pub enum EngineError {
 impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EngineError::ZeroWorkers => write!(f, "engine needs at least one stage worker"),
+            EngineError::ZeroWorkers => write!(f, "engine needs at least one worker"),
             EngineError::ZeroShards => write!(f, "engine needs at least one dedup shard"),
-            EngineError::ZeroQueueDepth => write!(f, "engine queue depth must be at least 1"),
             EngineError::ZeroChunk => write!(f, "engine chunk size must be at least 1"),
             EngineError::InvalidPeriod(p) => {
                 write!(f, "period {p} is not a collection period (expected 1 or 2)")
             }
-            EngineError::Disconnected => write!(f, "engine stage disconnected mid-stream"),
-            EngineError::StageFailed { stage, .. } => write!(f, "engine {stage} thread panicked"),
+            EngineError::StageFailed { stage, .. } => write!(f, "engine {stage} panicked"),
             EngineError::CheckpointShardMismatch { expected, found } => write!(
                 f,
                 "checkpoint was taken with {found} dedup shards but the engine has {expected}"
             ),
-            EngineError::CheckpointStalled => {
-                write!(f, "engine failed to quiesce within the checkpoint deadline")
-            }
             EngineError::MissingDetector => {
                 write!(f, "session builder needs a detector before start()")
             }
@@ -162,7 +150,7 @@ impl std::error::Error for EngineError {
     }
 }
 
-/// Deterministic fault injection for the engine's stage workers: the
+/// Deterministic fault injection for the engine's stage: the
 /// schedule of slow/poisoned chunks and the retry budget the simulated
 /// supervisor gets before declaring a chunk lost.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
@@ -193,27 +181,27 @@ impl Deserialize for EngineFaults {
 /// byte of output.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Stage worker threads running the pure classify/extract stage.
+    /// A session's share of the process-wide stage pool: it keeps up to
+    /// `2 × workers` chunks on the pool — `workers` classifying while as
+    /// many wait their turn.
     pub workers: usize,
-    /// Dedup shards (each owns an isolated [`Deduplicator`]).
+    /// Dedup shards: partitions of the dedup state (each an isolated
+    /// [`Deduplicator`] with its own store spill tables).
     pub shards: usize,
-    /// Bounded depth, in chunks, of the work and staged queues — the
-    /// backpressure window.
-    pub queue_depth: usize,
-    /// Documents per work chunk (amortizes queue handoff).
+    /// Documents per chunk handed to the stage pool (amortizes handoff).
     pub chunk: usize,
     /// Deterministic stage-fault injection; `None` runs fault-free.
     pub faults: Option<EngineFaults>,
 }
 
 impl Default for EngineConfig {
-    /// Workers default to the machine's available parallelism; topology
-    /// never changes results, so the default favors throughput.
+    /// Workers default to the machine's available parallelism — the size
+    /// of the stage pool; topology never changes results, so the default
+    /// favors throughput.
     fn default() -> Self {
         Self {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             shards: 8,
-            queue_depth: 4,
             chunk: 1024,
             faults: None,
         }
@@ -228,9 +216,6 @@ impl EngineConfig {
         if self.shards == 0 {
             return Err(EngineError::ZeroShards);
         }
-        if self.queue_depth == 0 {
-            return Err(EngineError::ZeroQueueDepth);
-        }
         if self.chunk == 0 {
             return Err(EngineError::ZeroChunk);
         }
@@ -244,7 +229,7 @@ impl EngineConfig {
 /// let engine = dox_engine::Engine::builder()
 ///     .workers(4)
 ///     .shards(8)
-///     .queue_depth(4)
+///     .chunk(1024)
 ///     .build()
 ///     .expect("non-zero topology");
 /// assert_eq!(engine.config().workers, 4);
@@ -256,7 +241,8 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// Set the stage worker count.
+    /// Set a session's share of the stage pool (see
+    /// [`EngineConfig::workers`]).
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers;
         self
@@ -265,12 +251,6 @@ impl EngineBuilder {
     /// Set the dedup shard count.
     pub fn shards(mut self, shards: usize) -> Self {
         self.config.shards = shards;
-        self
-    }
-
-    /// Set the bounded queue depth, in chunks.
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.config.queue_depth = depth;
         self
     }
 
@@ -295,8 +275,8 @@ impl EngineBuilder {
     }
 }
 
-/// A validated ingest topology. Cheap to clone; spawns threads only when
-/// a [`Session`] starts.
+/// A validated ingest configuration. Cheap to clone; the first
+/// [`Session`] in the process starts the shared stage pool.
 #[derive(Debug, Clone)]
 pub struct Engine {
     config: EngineConfig,
@@ -344,132 +324,19 @@ impl Engine {
         SessionBuilder {
             engine: self,
             detector: None,
-            registry: None,
-            tracer: None,
+            registry: dox_obs::global().clone(),
+            tracer: Tracer::disabled(),
             resume_from: None,
             spill: None,
         }
     }
-
-    /// Start a session reporting into the process-global metrics
-    /// registry.
-    #[deprecated(note = "use Engine::session_builder().detector(..).start()")]
-    pub fn session(&self, classifier: Arc<dyn DoxDetector>) -> Session {
-        Session::spawn(
-            &self.config,
-            classifier,
-            dox_obs::global(),
-            &Tracer::disabled(),
-            None,
-            None,
-        )
-    }
-
-    /// Start a session reporting into an explicit registry (tests and
-    /// side-by-side runs want isolated metrics).
-    #[deprecated(note = "use Engine::session_builder().detector(..).registry(..).start()")]
-    pub fn session_with_registry(
-        &self,
-        classifier: Arc<dyn DoxDetector>,
-        registry: &Registry,
-    ) -> Session {
-        Session::spawn(
-            &self.config,
-            classifier,
-            registry,
-            &Tracer::disabled(),
-            None,
-            None,
-        )
-    }
-
-    /// Start a session that additionally records causal trace hops for
-    /// sampled documents into the given [`Tracer`]. Tracing is pure
-    /// observation: output stays byte-identical to an untraced session.
-    #[deprecated(
-        note = "use Engine::session_builder().detector(..).registry(..).tracer(..).start()"
-    )]
-    pub fn traced_session(
-        &self,
-        classifier: Arc<dyn DoxDetector>,
-        registry: &Registry,
-        tracer: &Tracer,
-    ) -> Session {
-        Session::spawn(&self.config, classifier, registry, tracer, None, None)
-    }
-
-    /// Resume a session from a checkpoint, reporting into the
-    /// process-global metrics registry. The checkpoint must have been
-    /// taken under the same shard count; workers may differ freely.
-    ///
-    /// # Errors
-    /// [`EngineError::CheckpointShardMismatch`] when the checkpoint's
-    /// shard count differs from the engine's.
-    #[deprecated(note = "use Engine::session_builder().detector(..).resume_from(..).start()")]
-    pub fn resume_session(
-        &self,
-        classifier: Arc<dyn DoxDetector>,
-        checkpoint: SessionCheckpoint,
-    ) -> Result<Session, EngineError> {
-        self.session_builder()
-            .detector(classifier)
-            .resume_from(checkpoint)
-            .start()
-    }
-
-    /// Resume a session from a checkpoint into an explicit registry.
-    ///
-    /// # Errors
-    /// [`EngineError::CheckpointShardMismatch`] when the checkpoint's
-    /// shard count differs from the engine's.
-    #[deprecated(
-        note = "use Engine::session_builder().detector(..).registry(..).resume_from(..).start()"
-    )]
-    pub fn resume_session_with_registry(
-        &self,
-        classifier: Arc<dyn DoxDetector>,
-        registry: &Registry,
-        checkpoint: SessionCheckpoint,
-    ) -> Result<Session, EngineError> {
-        self.session_builder()
-            .detector(classifier)
-            .registry(registry)
-            .resume_from(checkpoint)
-            .start()
-    }
-
-    /// Resume a session from a checkpoint with causal tracing attached.
-    ///
-    /// # Errors
-    /// [`EngineError::CheckpointShardMismatch`] when the checkpoint's
-    /// shard count differs from the engine's.
-    #[deprecated(
-        note = "use Engine::session_builder().detector(..).registry(..).tracer(..).resume_from(..).start()"
-    )]
-    pub fn resume_traced_session(
-        &self,
-        classifier: Arc<dyn DoxDetector>,
-        registry: &Registry,
-        tracer: &Tracer,
-        checkpoint: SessionCheckpoint,
-    ) -> Result<Session, EngineError> {
-        self.session_builder()
-            .detector(classifier)
-            .registry(registry)
-            .tracer(tracer)
-            .resume_from(checkpoint)
-            .start()
-    }
 }
 
 /// One-stop configuration for starting a [`Session`], obtained from
-/// [`Engine::session_builder`]. Replaces the former six
-/// `Engine::{session, session_with_registry, traced_session,
-/// resume_session, resume_session_with_registry, resume_traced_session}`
-/// constructors with a single typed surface:
+/// [`Engine::session_builder`]:
 ///
 /// * [`detector`](SessionBuilder::detector) — **required**; the trained
-///   (or stub) classifier the stage workers call.
+///   (or stub) classifier the stage pool calls.
 /// * [`registry`](SessionBuilder::registry) — optional; defaults to the
 ///   process-global metrics registry.
 /// * [`tracer`](SessionBuilder::tracer) — optional; defaults to a
@@ -489,8 +356,8 @@ impl Engine {
 pub struct SessionBuilder<'e> {
     engine: &'e Engine,
     detector: Option<Arc<dyn DoxDetector>>,
-    registry: Option<Registry>,
-    tracer: Option<Tracer>,
+    registry: Registry,
+    tracer: Tracer,
     resume_from: Option<SessionCheckpoint>,
     spill: Option<DedupSpillConfig>,
 }
@@ -500,8 +367,7 @@ impl std::fmt::Debug for SessionBuilder<'_> {
         f.debug_struct("SessionBuilder")
             .field("engine", self.engine)
             .field("detector", &self.detector.is_some())
-            .field("registry", &self.registry.is_some())
-            .field("tracer", &self.tracer.is_some())
+            .field("tracer", &self.tracer.enabled())
             .field("resume_from", &self.resume_from.is_some())
             .field("spill", &self.spill.is_some())
             .finish()
@@ -509,7 +375,7 @@ impl std::fmt::Debug for SessionBuilder<'_> {
 }
 
 impl SessionBuilder<'_> {
-    /// Set the classifier the stage workers consult (required).
+    /// Set the classifier the stage pool consults (required).
     pub fn detector(mut self, detector: Arc<dyn DoxDetector>) -> Self {
         self.detector = Some(detector);
         self
@@ -518,7 +384,7 @@ impl SessionBuilder<'_> {
     /// Report metrics into an explicit registry instead of the
     /// process-global one (tests and side-by-side runs want isolation).
     pub fn registry(mut self, registry: &Registry) -> Self {
-        self.registry = Some(registry.clone());
+        self.registry = registry.clone();
         self
     }
 
@@ -526,7 +392,7 @@ impl SessionBuilder<'_> {
     /// [`Tracer`]. Tracing is pure observation: output stays
     /// byte-identical to an untraced session.
     pub fn tracer(mut self, tracer: &Tracer) -> Self {
-        self.tracer = Some(tracer.clone());
+        self.tracer = tracer.clone();
         self
     }
 
@@ -549,7 +415,7 @@ impl SessionBuilder<'_> {
         self
     }
 
-    /// Validate the combination and spawn the session threads.
+    /// Validate the combination and start the session.
     ///
     /// # Errors
     /// * [`EngineError::MissingDetector`] when no detector was set.
@@ -565,23 +431,11 @@ impl SessionBuilder<'_> {
                 });
             }
         }
-        let disabled;
-        let tracer = match &self.tracer {
-            Some(tracer) => tracer,
-            None => {
-                disabled = Tracer::disabled();
-                &disabled
-            }
-        };
-        let registry = match &self.registry {
-            Some(registry) => registry,
-            None => dox_obs::global(),
-        };
-        Ok(Session::spawn(
+        Ok(Session::start(
             &self.engine.config,
             detector,
-            registry,
-            tracer,
+            &self.registry,
+            &self.tracer,
             self.resume_from,
             self.spill,
         ))
@@ -601,14 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_zero_queue_depth() {
-        assert_eq!(
-            Engine::builder().queue_depth(0).build().unwrap_err(),
-            EngineError::ZeroQueueDepth
-        );
-    }
-
-    #[test]
     fn builder_rejects_zero_shards_and_chunk() {
         assert_eq!(
             Engine::builder().shards(0).build().unwrap_err(),
@@ -624,7 +470,7 @@ mod tests {
     fn defaults_are_usable() {
         let engine = Engine::builder().build().expect("defaults valid");
         assert!(engine.config().workers >= 1);
-        assert!(engine.config().queue_depth >= 1);
+        assert!(engine.config().chunk >= 1);
     }
 
     #[test]
@@ -659,7 +505,7 @@ mod tests {
             .registry(&registry)
             .start()
             .expect("detector set");
-        let checkpoint = session.checkpoint().expect("quiescent checkpoint");
+        let checkpoint = session.checkpoint().expect("checkpoint folds");
         session.finish().expect("clean finish");
 
         let narrower = Engine::builder()
@@ -685,31 +531,13 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_shims_still_start_sessions() {
-        struct Never;
-        impl DoxDetector for Never {
-            fn is_dox(&self, _text: &str) -> bool {
-                false
-            }
-        }
-        let engine = Engine::builder().workers(1).build().expect("valid");
-        let registry = Registry::new();
-        let output = engine
-            .session_with_registry(Arc::new(Never), &registry)
-            .finish()
-            .expect("clean finish");
-        assert_eq!(output.counters().total, 0);
-    }
-
-    #[test]
     fn errors_render_useful_messages() {
         assert!(EngineError::InvalidPeriod(7).to_string().contains('7'));
         let failed = EngineError::StageFailed {
-            stage: "router",
+            stage: "stage pool",
             cause: StagePanic("boom".into()),
         };
-        assert!(failed.to_string().contains("router"));
+        assert!(failed.to_string().contains("stage pool"));
         use std::error::Error;
         assert_eq!(
             failed.source().map(ToString::to_string),

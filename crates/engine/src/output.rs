@@ -131,26 +131,6 @@ impl PipelineCounters {
         let i = usize::from(which - 1);
         self.dox_per_period[i].saturating_sub(self.duplicates_per_period[i])
     }
-
-    /// Fold `other` into `self`, field by field. The engine accumulates
-    /// the document-level counters in its router and the dedup-level
-    /// counters in its committer; the merged result equals what one
-    /// sequential pass would have counted because the two halves touch
-    /// disjoint fields.
-    pub fn absorb(&mut self, other: &PipelineCounters) {
-        for (source, n) in &other.per_source {
-            *self.per_source.entry(source.clone()).or_insert(0) += n;
-        }
-        for i in 0..2 {
-            self.per_period[i] += other.per_period[i];
-            self.dox_per_period[i] += other.dox_per_period[i];
-            self.duplicates_per_period[i] += other.duplicates_per_period[i];
-        }
-        self.total += other.total;
-        self.classified_dox += other.classified_dox;
-        self.exact_duplicates += other.exact_duplicates;
-        self.account_set_duplicates += other.account_set_duplicates;
-    }
 }
 
 /// The outcome of the pure per-document stage: `None` when the classifier
@@ -225,30 +205,5 @@ mod tests {
         assert_eq!(c.unique_doxes(), 0);
         assert_eq!(c.unique_in_period(1), 0);
         assert_eq!(c.unique_in_period(2), 2);
-    }
-
-    #[test]
-    #[allow(clippy::field_reassign_with_default)]
-    fn absorb_is_fieldwise_addition() {
-        let mut a = PipelineCounters::default();
-        a.total = 10;
-        a.per_period = [6, 4];
-        a.per_source.insert("pastebin.com".into(), 10);
-        a.classified_dox = 3;
-        a.dox_per_period = [2, 1];
-
-        let mut b = PipelineCounters::default();
-        b.duplicates_per_period = [1, 0];
-        b.exact_duplicates = 1;
-        b.per_source.insert("pastebin.com".into(), 2);
-        b.per_source.insert("4chan/b".into(), 5);
-
-        a.absorb(&b);
-        assert_eq!(a.total, 10);
-        assert_eq!(a.per_source["pastebin.com"], 12);
-        assert_eq!(a.per_source["4chan/b"], 5);
-        assert_eq!(a.exact_duplicates, 1);
-        assert_eq!(a.unique_doxes(), 2);
-        assert_eq!(a.unique_in_period(1), 1);
     }
 }

@@ -35,7 +35,7 @@ use dox_store::{Store, Table as StoreTable};
 use serde::value::{Number, Value};
 use serde::Deserialize;
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -189,9 +189,6 @@ impl ServeState {
     /// store at `dir/store` with a single manifest swap — the drain is
     /// all-or-nothing, and a restore after a mid-drain crash sees the
     /// previous complete tenant set. Returns the drained tenant ids.
-    /// Legacy per-tenant `tenant_<id>.json` files under `dir` are
-    /// removed once the store commit lands (the layout they fed is
-    /// migrated by [`ServeState::restore_checkpoints`]).
     ///
     /// # Errors
     /// A message naming the first tenant that failed to quiesce, or the
@@ -240,20 +237,17 @@ impl ServeState {
         store
             .checkpoint()
             .map_err(|e| format!("commit {}: {e}", store_dir.display()))?;
-        remove_legacy_checkpoints(dir);
         Ok(drained)
     }
 
-    /// Restore every tenant checkpoint under `dir`: the segment store
-    /// at `dir/store` when one exists, plus any legacy per-tenant
-    /// `tenant_*.json` files whose id the store does not already hold
-    /// (they migrate into the store on the next drain). Returns the
-    /// restored tenant ids.
+    /// Restore every tenant checkpoint from the segment store at
+    /// `dir/store`, when one exists. Returns the restored tenant ids.
     ///
     /// # Errors
-    /// A message naming the first unreadable, malformed or mismatched
-    /// checkpoint.
+    /// A message naming a missing checkpoint dir, or the first
+    /// unreadable, malformed or mismatched checkpoint.
     pub fn restore_checkpoints(&self, dir: &Path) -> Result<Vec<String>, String> {
+        std::fs::metadata(dir).map_err(|e| format!("checkpoint dir {}: {e}", dir.display()))?;
         let mut restored = Vec::new();
         let store_dir = dir.join("store");
         if store_dir.join(dox_store::MANIFEST_NAME).exists() {
@@ -275,40 +269,6 @@ impl ServeState {
                 }
                 restored.push(id);
             }
-        }
-        let entries =
-            std::fs::read_dir(dir).map_err(|e| format!("checkpoint dir {}: {e}", dir.display()))?;
-        let mut paths: Vec<PathBuf> = entries
-            .filter_map(std::result::Result::ok)
-            .map(|e| e.path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("tenant_") && n.ends_with(".json"))
-            })
-            .collect();
-        paths.sort();
-        for path in paths {
-            let raw =
-                std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-            let value: Value =
-                serde_json::from_str(&raw).map_err(|e| format!("{}: {e}", path.display()))?;
-            // The store is the newer layout; a legacy file whose id it
-            // already holds is a leftover from before the migration.
-            let legacy_id = value
-                .get("spec")
-                .and_then(|s| s.get("id"))
-                .and_then(Value::as_str);
-            if legacy_id.is_some_and(|id| self.get(id).is_some()) {
-                continue;
-            }
-            let tenant = Tenant::from_checkpoint_value(&value, &self.registry)
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            let id = tenant.spec().id.clone();
-            if !self.insert(tenant) {
-                return Err(format!("{}: duplicate tenant '{id}'", path.display()));
-            }
-            restored.push(id);
         }
         Ok(restored)
     }
@@ -354,27 +314,6 @@ impl Drop for MutationGuard<'_> {
         *inflight = inflight.saturating_sub(1);
         if *inflight == 0 {
             self.state.quiesced.notify_all();
-        }
-    }
-}
-
-/// Best-effort removal of pre-store `tenant_<id>.json` checkpoints once
-/// a store commit owns the tenant set. A leftover only shadows ids the
-/// store already restores, so failures here are non-fatal.
-fn remove_legacy_checkpoints(dir: &Path) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for path in entries
-        .filter_map(std::result::Result::ok)
-        .map(|e| e.path())
-    {
-        let legacy = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.starts_with("tenant_") && n.ends_with(".json"));
-        if legacy {
-            let _ = std::fs::remove_file(&path);
         }
     }
 }
@@ -551,6 +490,7 @@ pub fn router(state: Arc<ServeState>, tracer: &Tracer) -> Router {
                     }
                 }
             }
+            // dox-lint:allow(pii-taint) the engine's trace hops carry ids, times, verdicts and content hashes, never doc content
             let outcome = lock(&tenant).ingest_batch(period, docs);
             match outcome {
                 // dox-lint:allow(pii-taint) IngestOutcome is counts, ids and static verdict strings
@@ -708,39 +648,11 @@ mod tests {
             "drain commits through the segment store"
         );
 
-        // A pre-store checkpoint file beside the store: restore loads
-        // both layouts, the store taking precedence on id clashes.
-        let legacy = Tenant::start(spec("legacy"), &Registry::new()).expect("legacy starts");
-        let legacy_state = ServeState::new(Registry::new());
-        assert!(legacy_state.insert(legacy));
-        let value = lock(&legacy_state.get("legacy").expect("resident"))
-            .checkpoint_value()
-            .expect("checkpoint");
-        std::fs::write(
-            dir.join("tenant_legacy.json"),
-            serde_json::to_string(&value).expect("encode"),
-        )
-        .expect("write legacy file");
-
         let resumed = ServeState::new(Registry::new());
         let restored = resumed.restore_checkpoints(&dir).expect("restore");
-        assert_eq!(restored, vec!["alpha".to_string(), "legacy".to_string()]);
+        assert_eq!(restored, vec!["alpha".to_string()]);
         let alpha = resumed.get("alpha").expect("alpha resident");
         assert_eq!(lock(&alpha).docs_ingested(), ingested);
-
-        // The next drain migrates the legacy tenant into the store and
-        // removes its file.
-        let drained = resumed.drain_checkpoints(&dir).expect("second drain");
-        assert_eq!(drained, vec!["alpha".to_string(), "legacy".to_string()]);
-        assert!(
-            !dir.join("tenant_legacy.json").exists(),
-            "legacy checkpoint migrated into the store"
-        );
-        let migrated = ServeState::new(Registry::new());
-        let restored = migrated
-            .restore_checkpoints(&dir)
-            .expect("restore migrated");
-        assert_eq!(restored, vec!["alpha".to_string(), "legacy".to_string()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -34,7 +34,7 @@ pub struct TenantSpec {
     pub seed: u64,
     /// Study scale (`0 < scale <= 1`).
     pub scale: f64,
-    /// Engine stage-worker threads.
+    /// The engine session's share of the stage pool (`EngineConfig::workers`).
     pub workers: usize,
     /// Engine dedup shards (checkpoints only resume under the same
     /// shard count).
@@ -409,8 +409,8 @@ impl Tenant {
         self.alerts.len()
     }
 
-    /// Index every not-yet-absorbed committed detection.
-    fn absorb_new(&mut self) {
+    /// Index every not-yet-absorbed committed detection, returning them.
+    fn absorb_new(&mut self) -> Vec<DetectedDox> {
         let fresh = self.session.detected_since(self.absorbed);
         for detected in &fresh {
             let victim = victim_fingerprint(detected);
@@ -454,6 +454,7 @@ impl Tenant {
             });
         }
         self.absorbed += fresh.len();
+        fresh
     }
 
     /// Ingest one batch, drain it through the engine, and return the
@@ -464,17 +465,15 @@ impl Tenant {
     /// (or dropped as a non-dox) before this returns.
     ///
     /// # Errors
-    /// Engine errors (invalid period, dead workers, quiesce timeout).
+    /// Engine errors (invalid period, a panicked stage).
     pub fn ingest_batch(&mut self, period: u8, docs: Vec<CollectedDoc>) -> Result<IngestOutcome> {
         let submitted: Vec<u64> = docs.iter().map(|c| c.doc.id).collect();
-        let before = self.session.committed_len();
         for doc in docs {
             self.session.ingest(period, doc)?;
             self.docs_ingested += 1;
         }
         self.session.flush()?;
-        let fresh = self.session.detected_since(before);
-        self.absorb_new();
+        let fresh = self.absorb_new();
 
         let by_id: BTreeMap<u64, &DetectedDox> = fresh.iter().map(|d| (d.doc_id, d)).collect();
         let mut outcome = IngestOutcome {

@@ -13,8 +13,9 @@
 //! durable reads happen after the relevant guard is dropped.
 //! [`Store::checkpoint`] — flush, fsync, manifest swap, compaction — is
 //! the only place file writes happen, and it must be called with no
-//! concurrent readers or writers (the engine quiesces its shard workers
-//! first; the study and serve drains are single-threaded coordinators).
+//! concurrent readers or writers (an engine session folds every chunk in
+//! flight first; the study and serve drains are single-threaded
+//! coordinators).
 //!
 //! # Commit protocol
 //!

@@ -42,7 +42,7 @@ step "victim: faulty run with checkpoints, killed with SIGKILL mid-ingest"
 victim=$!
 
 # Kill as soon as the first checkpoint lands on disk — mid-ingest, with
-# dedup shards half-populated and reorder buffers mid-stream.
+# dedup shards half-populated and chunks on the stage pool.
 for _ in $(seq 1 600); do
     [ -f "$scratch/ckpt/study_checkpoint.json" ] && break
     kill -0 "$victim" 2> /dev/null || break

@@ -64,6 +64,11 @@ cargo test -q
 step "cargo test --workspace -q"
 cargo test --workspace -q
 
+step "perfbench --tiny workloads (the benchmark still builds against the engine API)"
+# perfbench is its own Cargo workspace with path dependencies on the
+# crates, so the workspace test above never compiles it.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 step "chaos smoke test (SIGKILL mid-ingest, resume, byte-compare)"
 scripts/chaos_smoke.sh
 

@@ -2,7 +2,9 @@
 //! drain ordering — mutations refuse with 503 the instant a drain
 //! begins while already-admitted requests complete whole and the
 //! checkpoint reflects exactly the admitted documents — and per-tenant
-//! ingest quotas answering 429 + `Retry-After` that actually refill.
+//! ingest quotas answering 429 + `Retry-After` that actually refill —
+//! and hostile bodies that must be refused without taking the daemon
+//! down.
 
 use doxing_repro::core::study::Study;
 use doxing_repro::obs::http::DEFAULT_MAX_BODY;
@@ -286,4 +288,21 @@ fn quota_answers_429_with_retry_after_and_refills() {
     assert_eq!(status, 200, "post-refill ingest admitted: {response}");
 
     server.stop();
+}
+
+#[test]
+fn deeply_nested_json_is_refused_and_the_daemon_keeps_serving() {
+    // 200,001 bytes of `[`: a recursive parser without a depth cap
+    // overflows the worker's stack and aborts the whole process.
+    let state = Arc::new(ServeState::new(Registry::new()));
+    let (_server, addr) = boot(&state);
+    let brackets = "[".repeat(200_001);
+    for route in ["/v1/tenants", "/v1/ingest"] {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        let (status, _, body) = roundtrip(&mut stream, "POST", route, &brackets);
+        assert_eq!(status, 400, "{route} must refuse the nesting: {body}");
+    }
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let (status, _, _) = roundtrip(&mut stream, "GET", "/healthz", "");
+    assert_eq!(status, 200, "the daemon survives hostile nesting");
 }

@@ -110,15 +110,7 @@ fn traces_cover_the_whole_pipeline_and_stay_redacted() {
 /// stall/backpressure counters depend on how fast each thread drained,
 /// and span histograms are durations. Everything else must reproduce
 /// exactly.
-const WALL_CLOCK_METRICS: &[&str] = &[
-    "engine.queue.stalls",
-    "engine.queue.stall_ns",
-    "engine.queue.depth",
-    "engine.queue.staged.depth",
-    "engine.queue.verdicts.depth",
-    "engine.queue.backpressure.stalls",
-    "engine.queue.backpressure_ns",
-];
+const WALL_CLOCK_METRICS: &[&str] = &[];
 
 fn is_wall_clock(name: &str) -> bool {
     WALL_CLOCK_METRICS.contains(&name) || name.ends_with(".queue_depth")
