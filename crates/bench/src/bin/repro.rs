@@ -17,14 +17,13 @@
 //!                      funnel counters, events) as JSON
 //!   --fault-plan <p>   inject deterministic faults from a JSON
 //!                      `FaultPlanConfig` (see DESIGN.md §9)
-//!   --checkpoint-dir <d>  persist resumable checkpoints into <d>
+//!   --checkpoint-dir <d>  persist resumable checkpoints into the
+//!                      crash-safe segment store in <d>/store; checkpoints
+//!                      and spilled dedup state commit atomically
 //!   --checkpoint-every <n> checkpoint cadence in documents (default 10000)
 //!   --resume           resume from the checkpoint in --checkpoint-dir
-//!   --store            store-backed durability: checkpoints and spilled
-//!                      dedup state commit atomically through the
-//!                      crash-safe segment store in --checkpoint-dir
 //!   --spill-cap <n>    in-memory dedup entries per shard before spilling
-//!                      to the store (default 65536; needs --store)
+//!                      to the store (default 65536; needs --checkpoint-dir)
 //!   --trace <path>     export sampled causal traces as JSONL (samples
 //!                      every document unless --trace-sample is given)
 //!   --trace-sample <ppm>  trace sampling rate, documents per million
@@ -51,7 +50,7 @@
 //! a fixed seed whether or not metrics are collected.
 
 use dox_core::report;
-use dox_core::study::{Study, StudyConfig};
+use dox_core::study::{Durability, Study, StudyConfig};
 use dox_fault::FaultPlanConfig;
 use dox_obs::{Level, StageSpan, Telemetry};
 use std::process::ExitCode;
@@ -70,11 +69,7 @@ struct Args {
     json: Option<String>,
     metrics: Option<String>,
     fault_plan: Option<String>,
-    checkpoint_dir: Option<String>,
-    checkpoint_every: Option<u64>,
-    resume: bool,
-    store: bool,
-    spill_cap: Option<usize>,
+    durability: Durability,
     trace: Option<String>,
     trace_sample: Option<u32>,
     telemetry: Option<String>,
@@ -92,11 +87,7 @@ fn parse_args() -> Result<Args, String> {
         json: None,
         metrics: None,
         fault_plan: None,
-        checkpoint_dir: None,
-        checkpoint_every: None,
-        resume: false,
-        store: false,
-        spill_cap: None,
+        durability: Durability::default(),
         trace: None,
         trace_sample: None,
         telemetry: None,
@@ -145,20 +136,20 @@ fn parse_args() -> Result<Args, String> {
                 args.fault_plan = Some(it.next().ok_or("--fault-plan needs a path")?);
             }
             "--checkpoint-dir" => {
-                args.checkpoint_dir = Some(it.next().ok_or("--checkpoint-dir needs a path")?);
+                let dir = it.next().ok_or("--checkpoint-dir needs a path")?;
+                args.durability.checkpoint_dir = Some(dir.into());
             }
             "--checkpoint-every" => {
                 let v = it.next().ok_or("--checkpoint-every needs a value")?;
-                args.checkpoint_every = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad checkpoint cadence {v:?}"))?,
-                );
+                args.durability.checkpoint_every_docs = v
+                    .parse()
+                    .map_err(|_| format!("bad checkpoint cadence {v:?}"))?;
             }
-            "--resume" => args.resume = true,
-            "--store" => args.store = true,
+            "--resume" => args.durability.resume = true,
             "--spill-cap" => {
                 let v = it.next().ok_or("--spill-cap needs a value")?;
-                args.spill_cap = Some(v.parse().map_err(|_| format!("bad spill cap {v:?}"))?);
+                args.durability.spill_cap_entries =
+                    v.parse().map_err(|_| format!("bad spill cap {v:?}"))?;
             }
             "--trace" => args.trace = Some(it.next().ok_or("--trace needs a path")?),
             "--trace-sample" => {
@@ -176,11 +167,9 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    if args.store && args.checkpoint_dir.is_none() {
-        return Err("--store needs --checkpoint-dir".to_string());
-    }
-    if args.spill_cap.is_some() && !args.store {
-        return Err("--spill-cap needs --store".to_string());
+    let durability = &args.durability;
+    if durability.spill_cap_entries != 0 && durability.checkpoint_dir.is_none() {
+        return Err("--spill-cap needs --checkpoint-dir".to_string());
     }
     Ok(args)
 }
@@ -215,10 +204,9 @@ const HELP: &str = "repro — regenerate every table/figure of the doxing study
   --json <path>    write the JSON report
   --metrics <path> write the metrics/span snapshot as JSON
   --fault-plan <p> inject deterministic faults from a JSON FaultPlanConfig
-  --checkpoint-dir <d>   persist resumable checkpoints into <d>
+  --checkpoint-dir <d>   crash-safe checkpoints + dedup spill in <d>/store
   --checkpoint-every <n> checkpoint cadence in documents (default 10000)
   --resume         resume from the checkpoint in --checkpoint-dir
-  --store          crash-safe store-backed checkpoints + dedup spill
   --spill-cap <n>  in-memory dedup entries per shard before spilling
   --trace <path>   export sampled causal traces as JSONL
   --trace-sample <ppm>   trace sampling rate per million (default: all)
@@ -264,17 +252,7 @@ fn main() -> ExitCode {
         };
         config.faults = Some(plan);
     }
-    if let Some(dir) = &args.checkpoint_dir {
-        config.durability.checkpoint_dir = Some(dir.into());
-    }
-    if let Some(every) = args.checkpoint_every {
-        config.durability.checkpoint_every_docs = every;
-    }
-    config.durability.resume = args.resume;
-    config.durability.store = args.store;
-    if let Some(cap) = args.spill_cap {
-        config.durability.spill_cap_entries = cap;
-    }
+    config.durability = args.durability.clone();
     if args.trace.is_some() || args.trace_sample.is_some() {
         // `--trace` alone samples everything; `--trace-sample` alone still
         // records (for `--telemetry`'s /traces) without an export file.

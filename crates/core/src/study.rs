@@ -34,7 +34,7 @@ use crate::monitor::{Monitor, Schedule};
 use crate::pipeline::{Pipeline, PipelineCounters, PipelineOutput};
 use crate::training::{ClassifierSummary, DoxClassifier};
 use dox_engine::{
-    DedupSpillConfig, DoxDetector, Engine, EngineConfig, EngineFaults, SessionCheckpoint,
+    DedupSpillConfig, DoxDetector, Engine, EngineConfig, EngineFaults, Session, SessionCheckpoint,
 };
 use dox_extract::accuracy::{evaluate_extractor, ExtractorEvaluation};
 use dox_fault::{BreakerConfig, CoverageGaps, FaultPlanConfig, FaultStats, RetryPolicy};
@@ -61,27 +61,24 @@ use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Where and how often a study persists resumable checkpoints.
+/// Where and how often a study persists resumable checkpoints: into a
+/// [`dox_store`] segment store in `checkpoint_dir/store`, where each
+/// checkpoint commits in the same manifest swap as the dedup entries
+/// spilled since the last one. Resume cost is O(checkpoint), not
+/// O(entries ever seen).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Durability {
-    /// Directory for `study_checkpoint.json`; `None` disables
-    /// checkpointing entirely.
+    /// Directory holding the study's segment store; `None` disables
+    /// checkpointing entirely and the run never touches disk.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Write a checkpoint every this many ingested documents (0 is
+    /// Commit a checkpoint every this many ingested documents (0 is
     /// treated as the default below).
     pub checkpoint_every_docs: u64,
     /// Resume from the checkpoint in `checkpoint_dir` instead of starting
     /// fresh.
     pub resume: bool,
-    /// Back the checkpoint and the dedup shards with a [`dox_store`]
-    /// segment store in `checkpoint_dir/store` instead of a monolithic
-    /// `study_checkpoint.json`. Dedup entries past the per-shard memory
-    /// cap spill into the store, checkpoint snapshots shrink to the
-    /// in-memory remainder, and resume cost is O(checkpoint), not
-    /// O(entries ever seen).
-    pub store: bool,
     /// In-memory dedup entries per shard before spilling to the store
-    /// (0 is treated as the default below; only used with `store`).
+    /// (0 is treated as the default below).
     pub spill_cap_entries: usize,
 }
 
@@ -328,10 +325,9 @@ impl StudyConfigBuilder {
         self
     }
 
-    /// Back checkpoints and dedup state with a segment store under the
-    /// checkpoint dir (see [`Durability::store`]).
-    pub fn store_backed(mut self, store: bool) -> Self {
-        self.config.durability.store = store;
+    /// Does nothing: every checkpoint is store-backed; kept only for the
+    /// benchmark's existing call site.
+    pub fn store_backed(self, _store: bool) -> Self {
         self
     }
 
@@ -407,6 +403,8 @@ struct AnalysisInputs<'a> {
     classifier_summary: ClassifierSummary,
     extractor_eval: ExtractorEvaluation,
     output: &'a PipelineOutput,
+    /// The run's segment store, if it checkpoints; the monitor persists into it.
+    store: Option<Arc<Store>>,
 }
 
 /// The complete result set — one field per paper table/figure.
@@ -692,6 +690,7 @@ impl Study {
             classifier_summary: trained.summary,
             extractor_eval: trained.extractor_eval,
             output,
+            store: None,
         })
     }
 
@@ -741,6 +740,62 @@ impl Study {
         let cfg = &self.config;
         let seed = cfg.seed;
         let obs = &self.registry;
+
+        // Durability: a checkpoint dir means one segment store for the
+        // whole run, shared by the study checkpoints, the dedup spill and
+        // the monitor. It opens before the expensive phases, so a resume
+        // with nothing to resume from fails fast. The reference pipeline
+        // never checkpoints and never touches disk.
+        let fingerprint = config_fingerprint(cfg);
+        let mut resume_from: Option<StudyCheckpoint> = None;
+        let ck_table = match &cfg.durability.checkpoint_dir {
+            _ if reference => None,
+            None if cfg.durability.resume => {
+                return Err(Error::Checkpoint(
+                    "resume requested without a checkpoint dir".into(),
+                ));
+            }
+            None => None,
+            Some(dir) => {
+                let store_dir = dir.join("store");
+                if !cfg.durability.resume {
+                    // A fresh run owns the store directory — stale
+                    // segments from an earlier experiment would
+                    // resurrect dedup state into the new corpus.
+                    let _ = std::fs::remove_dir_all(&store_dir);
+                }
+                let store = Store::open(&store_dir, obs)
+                    .map_err(|e| Error::Checkpoint(format!("open store: {e}")))?;
+                let table: StoreTable<String, String> = StoreTable::new(Arc::new(store), "study");
+                if cfg.durability.resume {
+                    let text = table
+                        .get(&"checkpoint".to_string())
+                        .map_err(|e| Error::Checkpoint(format!("read store checkpoint: {e}")))?
+                        .ok_or_else(|| {
+                            Error::Checkpoint("store holds no checkpoint to resume".into())
+                        })?;
+                    let loaded: StudyCheckpoint = serde_json::from_str(&text)?;
+                    if loaded.fingerprint != fingerprint {
+                        return Err(Error::Checkpoint(
+                            "checkpoint belongs to a different experiment \
+                             (seed, scale, shard count or fault plan changed)"
+                                .into(),
+                        ));
+                    }
+                    resume_from = Some(loaded);
+                } else if let Some((nth, point)) = cfg
+                    .faults
+                    .as_ref()
+                    .and_then(|p| p.kill_at_store_commit.map(|n| (n, p.kill_store_point)))
+                {
+                    // The kill switches model an external SIGKILL; a
+                    // resumed run has already "survived" them, so they
+                    // only arm on fresh runs.
+                    table.store().arm_kill(nth, point);
+                }
+                Some(table)
+            }
+        };
 
         // 1. Synthetic world.
         let phase = StageSpan::enter(obs, "study.phase.world_gen");
@@ -801,115 +856,42 @@ impl Study {
             let engine = Engine::from_config(engine_cfg)?;
             let detector: Arc<dyn DoxDetector> = Arc::new(classifier);
 
-            // Durability: `resume` replays the deterministic corpus and
-            // skips the deliveries the checkpointed engine has already
-            // absorbed; periodic checkpoints snapshot the folded engine state.
-            let fingerprint = config_fingerprint(cfg);
-            let store_mode = cfg.durability.store;
-            let checkpoint_path = if store_mode {
-                // Store mode keeps the checkpoint *inside* the store so
-                // one manifest swap commits spilled dedup entries and
-                // the study checkpoint atomically.
-                None
-            } else {
-                cfg.durability
-                    .checkpoint_dir
-                    .as_ref()
-                    .map(|d| d.join("study_checkpoint.json"))
-            };
+            // `resume` replays the deterministic corpus and skips the
+            // deliveries the checkpointed engine has already absorbed;
+            // periodic checkpoints snapshot the folded engine state.
             let every = cfg.durability.every();
-            // The kill switches model an external SIGKILL; a resumed run
-            // has already "survived" them, so they only arm on fresh runs.
             let kill_after = if cfg.durability.resume {
                 None
             } else {
                 cfg.faults.as_ref().and_then(|p| p.kill_after_docs)
             };
-            let store: Option<Arc<Store>> =
-                match (&cfg.durability.checkpoint_dir, store_mode) {
-                    (Some(dir), true) => {
-                        let store_dir = dir.join("store");
-                        if !cfg.durability.resume {
-                            // A fresh run owns the store directory — stale
-                            // segments from an earlier experiment would
-                            // resurrect dedup state into the new corpus.
-                            let _ = std::fs::remove_dir_all(&store_dir);
-                        }
-                        let store = Store::open(&store_dir, obs)
-                            .map_err(|e| Error::Checkpoint(format!("open store: {e}")))?;
-                        if !cfg.durability.resume {
-                            if let Some((nth, point)) = cfg.faults.as_ref().and_then(|p| {
-                                p.kill_at_store_commit.map(|n| (n, p.kill_store_point))
-                            }) {
-                                store.arm_kill(nth, point);
-                            }
-                        }
-                        Some(Arc::new(store))
-                    }
-                    _ => None,
-                };
-            let ck_table: Option<StoreTable<String, String>> = store
-                .as_ref()
-                .map(|s| StoreTable::new(Arc::clone(s), "study"));
             let resume_skipped = obs.counter("study.resume.skipped_docs");
-            let resume_replayed = obs.counter("study.resume.replayed_docs");
+            let mut builder = engine
+                .session_builder()
+                .detector(detector)
+                .registry(obs)
+                .tracer(&self.tracer);
+            if let Some(table) = &ck_table {
+                builder = builder.spill(DedupSpillConfig {
+                    store: Arc::clone(table.store()),
+                    cap_entries: cfg.durability.spill_cap(),
+                });
+            }
             let mut skip: u64 = 0;
-            let mut session = {
-                let mut builder = engine
-                    .session_builder()
-                    .detector(detector)
-                    .registry(obs)
-                    .tracer(&self.tracer);
-                if let Some(store) = &store {
-                    builder = builder.spill(DedupSpillConfig {
-                        store: Arc::clone(store),
-                        cap_entries: cfg.durability.spill_cap(),
-                    });
-                }
-                if cfg.durability.resume {
-                    let text = if let Some(table) = &ck_table {
-                        table
-                            .get(&"checkpoint".to_string())
-                            .map_err(|e| Error::Checkpoint(format!("read store checkpoint: {e}")))?
-                            .ok_or_else(|| {
-                                Error::Checkpoint("store holds no checkpoint to resume".into())
-                            })?
-                    } else {
-                        let path = checkpoint_path.as_ref().ok_or_else(|| {
-                            Error::Checkpoint("resume requested without a checkpoint dir".into())
-                        })?;
-                        std::fs::read_to_string(path).map_err(|e| {
-                            Error::Checkpoint(format!("read {}: {e}", path.display()))
-                        })?
-                    };
-                    let loaded: StudyCheckpoint = serde_json::from_str(&text)?;
-                    if loaded.fingerprint != fingerprint {
-                        return Err(Error::Checkpoint(
-                            "checkpoint belongs to a different experiment \
-                             (seed, scale, shard count or fault plan changed)"
-                                .into(),
-                        ));
-                    }
-                    skip = loaded.docs_ingested;
-                    // Debug level: the resume notice must not perturb the
-                    // Info-level event stream, which stays byte-identical
-                    // between a clean run and a killed+resumed one.
-                    obs.events().emit(
-                        Level::Debug,
-                        "study",
-                        "resuming from checkpoint",
-                        vec![("docs_ingested".into(), skip.to_string())],
-                    );
-                    builder.resume_from(loaded.session).start()?
-                } else {
-                    if let Some(dir) = &cfg.durability.checkpoint_dir {
-                        std::fs::create_dir_all(dir).map_err(|e| {
-                            Error::Checkpoint(format!("create {}: {e}", dir.display()))
-                        })?;
-                    }
-                    builder.start()?
-                }
-            };
+            if let Some(loaded) = resume_from {
+                skip = loaded.docs_ingested;
+                // Debug level: the resume notice must not perturb the
+                // Info-level event stream, which stays byte-identical
+                // between a clean run and a killed+resumed one.
+                obs.events().emit(
+                    Level::Debug,
+                    "study",
+                    "resuming from checkpoint",
+                    vec![("docs_ingested".into(), skip.to_string())],
+                );
+                builder = builder.resume_from(loaded.session);
+            }
+            let mut session = builder.start()?;
 
             let mut delivered: u64 = 0;
             let mut halted = false;
@@ -933,43 +915,16 @@ impl Study {
                         halted = true;
                         return ControlFlow::Break(());
                     }
-                    if skip > 0 && delivered <= skip {
-                        // Pinned at zero by the fault matrix: a non-zero
-                        // count means a checkpointed doc reached ingest
-                        // again (O(checkpoint) resume broken).
-                        resume_replayed.inc();
-                    }
-                    if let Err(e) = session.ingest(period, collected) {
-                        ingest_err = Some(e.into());
-                        return ControlFlow::Break(());
-                    }
-                    if (checkpoint_path.is_some() || ck_table.is_some())
-                        && delivered.is_multiple_of(every)
-                    {
-                        match session.checkpoint() {
-                            Ok(snapshot) => {
-                                let checkpoint = StudyCheckpoint {
-                                    fingerprint,
-                                    docs_ingested: delivered,
-                                    session: snapshot,
-                                };
-                                let wrote = if let Some(table) = &ck_table {
-                                    commit_checkpoint_to_store(table, &checkpoint)
-                                } else if let Some(path) = &checkpoint_path {
-                                    write_checkpoint(path, &checkpoint)
-                                } else {
-                                    Ok(())
-                                };
-                                if let Err(e) = wrote {
-                                    ingest_err = Some(e);
-                                    return ControlFlow::Break(());
-                                }
-                            }
-                            Err(e) => {
-                                ingest_err = Some(e.into());
-                                return ControlFlow::Break(());
-                            }
+                    let step = session.ingest(period, collected).map_err(Error::from);
+                    let step = step.and_then(|()| match &ck_table {
+                        Some(table) if delivered.is_multiple_of(every) => {
+                            commit_checkpoint_to_store(table, &mut session, fingerprint, delivered)
                         }
+                        _ => Ok(()),
+                    });
+                    if let Err(e) = step {
+                        ingest_err = Some(e);
+                        return ControlFlow::Break(());
                     }
                     ControlFlow::Continue(())
                 });
@@ -984,6 +939,15 @@ impl Study {
                 return Err(Error::Halted {
                     docs_ingested: delivered.saturating_sub(1),
                 });
+            }
+            // Close the stream with a checkpoint that covers every document,
+            // so the monitor's later commit on the same store never
+            // publishes dedup spill that no study checkpoint accounts for.
+            match &ck_table {
+                Some(table) if !delivered.is_multiple_of(every) => {
+                    commit_checkpoint_to_store(table, &mut session, fingerprint, delivered)?;
+                }
+                _ => {}
             }
             session.finish()?
         };
@@ -1018,6 +982,7 @@ impl Study {
             classifier_summary,
             extractor_eval,
             output: &output,
+            store: ck_table.map(|table| Arc::clone(table.store())),
         })
     }
 
@@ -1037,6 +1002,7 @@ impl Study {
             classifier_summary,
             extractor_eval,
             output,
+            store,
         } = inputs;
         let cfg = &self.config;
         let seed = cfg.seed;
@@ -1103,18 +1069,14 @@ impl Study {
             ),
             None => Monitor::with_registry(cfg.schedule.clone(), obs),
         };
-        // Store-backed runs persist the monitor's schedule and probe
-        // cursors: a restored account re-enrolls as a no-op, so a
-        // re-run over an already-monitored store issues zero probes for
-        // covered accounts and still reports identical histories.
-        if cfg.durability.store {
-            if let Some(dir) = &cfg.durability.checkpoint_dir {
-                let store = Store::open(dir.join("store"), obs)
-                    .map_err(|e| Error::Checkpoint(format!("open store for monitor: {e}")))?;
-                monitor
-                    .attach_store(Arc::new(store))
-                    .map_err(|e| Error::Checkpoint(format!("restore monitor state: {e}")))?;
-            }
+        // A checkpointing run persists the monitor's schedule and probe
+        // cursors in its store: a restored account re-enrolls as a no-op,
+        // so a re-run over an already-monitored store issues zero probes
+        // for covered accounts and still reports identical histories.
+        if let Some(store) = store {
+            monitor
+                .attach_store(store)
+                .map_err(|e| Error::Checkpoint(format!("restore monitor state: {e}")))?;
         }
         let mut monitored_ids: Vec<AccountId> = Vec::new();
         let unique: Vec<&crate::pipeline::DetectedDox> = output.unique_doxes().collect();
@@ -1183,7 +1145,7 @@ impl Study {
         let comments = analyze_comments(&osn, &mut monitor);
         monitor
             .persist()
-            .map_err(|e| Error::Checkpoint(format!("persist monitor state: {e}")))?;
+            .map_err(|e| store_commit_error(e, "persist monitor state", output.counters().total))?;
         obs.events().emit(
             Level::Info,
             "study",
@@ -1341,36 +1303,40 @@ impl Study {
     }
 }
 
-/// Atomically persist a checkpoint via the shared tmp + fsync + rename
-/// discipline, so a kill mid-write can never leave a torn checkpoint.
-fn write_checkpoint(path: &std::path::Path, checkpoint: &StudyCheckpoint) -> Result<()> {
-    let json = serde_json::to_string(checkpoint)?;
-    dox_fault::write_file_atomic(path, json.as_bytes())
-        .map_err(|e| Error::Checkpoint(format!("write {}: {e}", path.display())))
-}
-
-/// Persist a checkpoint into the segment store: the JSON goes into the
-/// `study` table and the store checkpoint's manifest swap commits it
-/// *and* any dedup entries spilled since the last commit in one atomic
-/// step — a crash can never separate the two.
-///
-/// A fault-drill kill armed on this commit surfaces as [`Error::Halted`],
-/// the same way the ingest kill switch does: the process is "dead" and
-/// must resume from the last durable commit.
+/// Snapshot the session and commit it into the segment store: the
+/// checkpoint JSON goes into the `study` table and the store
+/// checkpoint's manifest swap commits it *and* any dedup entries
+/// spilled since the last commit in one atomic step — a crash can never
+/// separate the two.
 fn commit_checkpoint_to_store(
     table: &StoreTable<String, String>,
-    checkpoint: &StudyCheckpoint,
+    session: &mut Session,
+    fingerprint: u64,
+    docs_ingested: u64,
 ) -> Result<()> {
-    let json = serde_json::to_string(checkpoint)?;
+    let checkpoint = StudyCheckpoint {
+        fingerprint,
+        docs_ingested,
+        session: session.checkpoint()?,
+    };
+    let json = serde_json::to_string(&checkpoint)?;
     table
         .put(&"checkpoint".to_string(), &json)
         .map_err(|e| Error::Checkpoint(format!("stage store checkpoint: {e}")))?;
-    match table.store().checkpoint() {
-        Ok(()) => Ok(()),
-        Err(StoreError::Killed { .. }) => Err(Error::Halted {
-            docs_ingested: checkpoint.docs_ingested,
-        }),
-        Err(e) => Err(Error::Checkpoint(format!("commit store checkpoint: {e}"))),
+    table
+        .store()
+        .checkpoint()
+        .map_err(|e| store_commit_error(e, "commit store checkpoint", docs_ingested))
+}
+
+/// A failed store commit as a study error. A fault-drill kill armed on
+/// the commit surfaces as [`Error::Halted`], the same way the ingest kill
+/// switch does: the process is "dead" and must resume from the last
+/// durable commit.
+fn store_commit_error(e: StoreError, context: &str, docs_ingested: u64) -> Error {
+    match e {
+        StoreError::Killed { .. } => Error::Halted { docs_ingested },
+        e => Error::Checkpoint(format!("{context}: {e}")),
     }
 }
 
@@ -1438,6 +1404,23 @@ mod tests {
             .report_from_ingest(&PipelineOutput::default())
             .expect_err("fault plans must be rejected");
         assert!(matches!(err, Error::ServiceMode(_)), "{err}");
+    }
+
+    #[test]
+    fn resume_without_a_store_checkpoint_is_refused() {
+        let refusal = |builder: StudyConfigBuilder| {
+            let config = builder.scale(0.005).resume(true).build();
+            match Study::with_registry(config, Registry::new()).run() {
+                Err(Error::Checkpoint(why)) => why,
+                other => panic!("expected a checkpoint error, got {other:?}"),
+            }
+        };
+        assert!(refusal(StudyConfig::builder()).contains("without a checkpoint dir"));
+        let dir = std::env::temp_dir().join(format!("dox_study_empty_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let why = refusal(StudyConfig::builder().checkpoint_dir(&dir));
+        assert!(why.contains("no checkpoint to resume"), "{why}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Crash-safe file replacement.
 //!
-//! Every durable artifact in this workspace — study checkpoints, store
-//! manifests, tenant state — is published the same way: write the new
+//! The segment store's manifest — the one commit point of every durable
+//! artifact in this workspace — is published this way: write the new
 //! content to a sibling temp file, fsync it, rename it over the target,
 //! then fsync the directory so the rename itself survives a power cut.
 //! A reader therefore sees either the old file or the new one, never a

@@ -29,6 +29,9 @@
 //! * **Accept backoff** — `accept()` errors (fd exhaustion, aborted
 //!   handshakes) back off exponentially instead of hot-spinning, counted
 //!   in `http.accept_errors`.
+//! * **Handler panics** — a handler that panics costs its request, not
+//!   its worker: the client gets `500` with `Connection: close`, counted
+//!   in `http.handler_panics`.
 //!
 //! * [`Router`] — ordered `(method, pattern)` routes; a path that
 //!   matches a pattern under the *wrong* method yields `405 Method Not
@@ -45,7 +48,8 @@
 use crate::metrics::{Counter, Gauge, Registry};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -148,6 +152,8 @@ struct HttpMetrics {
     /// Requests rejected as unparseable (`400`, e.g. malformed
     /// `Content-Length`).
     bad_requests: Counter,
+    /// Handlers that panicked (answered `500`).
+    handler_panics: Counter,
 }
 
 impl HttpMetrics {
@@ -160,6 +166,7 @@ impl HttpMetrics {
             deadline_hits: registry.counter("http.deadline_hits"),
             header_rejects: registry.counter("http.header_rejects"),
             bad_requests: registry.counter("http.bad_requests"),
+            handler_panics: registry.counter("http.handler_panics"),
         }
     }
 }
@@ -575,14 +582,26 @@ fn accept_loop(listener: &TcpListener, backlog: &Backlog, shared: &Shared) {
 }
 
 /// Answer a shed connection `503` + `Retry-After` without ever blocking
-/// the acceptor: the response is a single small write under a bounded
-/// write timeout, then the connection drops.
+/// the acceptor: one small write under a bounded write timeout, a
+/// bounded non-blocking drain of the request bytes already arrived (a
+/// close with unread input sends RST, which can destroy the `503`
+/// before the client reads it), then FIN.
 fn shed(mut stream: TcpStream, retry_after_secs: u64) {
     let _ = stream.set_write_timeout(Some(ERROR_WRITE_WINDOW));
     let _ = stream.set_nodelay(true);
     let response =
         Response::error(503, "server overloaded, retry later").retry_after(retry_after_secs);
     let _ = stream.write_all(&render_response(&response, true));
+    if stream.set_nonblocking(true).is_ok() {
+        let mut scratch = [0u8; 4096];
+        // At most 64 KiB: far more than a request head.
+        for _ in 0..16 {
+            if !matches!(stream.read(&mut scratch), Ok(n) if n > 0) {
+                break;
+            }
+        }
+    }
+    let _ = stream.shutdown(Shutdown::Write);
 }
 
 fn worker_loop(backlog: &Backlog, shared: &Shared) {
@@ -952,19 +971,27 @@ fn serve_connection(
             body,
         };
         metrics.requests_total.inc();
-        let response = shared.router.dispatch(&mut request);
+        // A panicking handler costs its request, never the worker.
+        let (response, close) =
+            match catch_unwind(AssertUnwindSafe(|| shared.router.dispatch(&mut request))) {
+                Ok(response) => (response, close_requested),
+                Err(_) => {
+                    metrics.handler_panics.inc();
+                    (Response::error(500, "internal server error"), true)
+                }
+            };
 
         // Last response byte is due at the deadline; a short grace
         // window lets a handler that finished just inside the budget
         // still flush. A client that will not drain the response within
         // that window loses the connection.
         let write_deadline = deadline.max(Instant::now() + ERROR_WRITE_WINDOW);
-        let bytes = render_response(&response, close_requested);
+        let bytes = render_response(&response, close);
         if !write_all_within(reader.get_mut(), &bytes, write_deadline)? {
             metrics.deadline_hits.inc();
             return Ok(());
         }
-        if close_requested {
+        if close {
             return Ok(());
         }
     }
@@ -1285,6 +1312,35 @@ mod tests {
         assert!(busy.contains("\"slow\":true"), "{busy}");
         let queued = queued.join().expect("queued client");
         assert!(queued.contains("\"slow\":true"), "{queued}");
+        server.stop();
+    }
+
+    #[test]
+    fn handler_panic_answers_500_and_keeps_the_worker() {
+        let registry = Registry::new();
+        let router = test_router().route("GET", "/boom", |_req| -> Response {
+            panic!("handler bug");
+        });
+        let server = HttpServer::start_with(
+            "127.0.0.1:0",
+            router,
+            ServerConfig {
+                workers: 1,
+                registry: registry.clone(),
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind ephemeral");
+        let addr = server.local_addr();
+        for _ in 0..3 {
+            // No `Connection: close` asked for: the panic closes anyway.
+            let response = send(addr, "GET /boom HTTP/1.1\r\nHost: t\r\n\r\n");
+            assert!(response.starts_with("HTTP/1.1 500"), "{response}");
+            assert!(response.contains("Connection: close"), "{response}");
+        }
+        assert_eq!(registry.counter("http.handler_panics").get(), 3);
+        // The only worker survived all three panics.
+        assert!(get(addr, "/ping").starts_with("HTTP/1.1 200"));
         server.stop();
     }
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Chaos smoke test: SIGKILL the reproduction harness mid-ingest, resume
-# from its checkpoint, and verify the resumed run's JSON report is
-# byte-identical to an uninterrupted fault-free run.
+# Chaos smoke test: SIGKILL the reproduction harness mid-ingest, tear the
+# tail of its segment store, resume from the recovered checkpoint, and
+# verify the resumed run's JSON report is byte-identical to an
+# uninterrupted fault-free run.
 #
 # This exercises the real recovery path end to end — a separate process,
-# a real `kill -9` (no atexit handlers, no Drop), checkpoint files on
+# a real `kill -9` (no atexit handlers, no Drop), the segment store on
 # disk, and the `--resume` flag — rather than the in-process simulation
 # the fault-matrix tests use.
 set -euo pipefail
@@ -34,36 +35,56 @@ step "baseline: uninterrupted fault-free run"
 "$REPRO" --scale "$SCALE" --seed "$SEED" --quiet --table t1 \
     --json "$scratch/clean.json" > /dev/null
 
+# The drill: dedup shards spill into the segment store, each checkpoint
+# commits inside it, and recovery must also survive a *torn segment
+# tail* we forge by appending garbage past the committed length — the
+# exact on-disk state a crash mid-append leaves behind.
 step "victim: faulty run with checkpoints, killed with SIGKILL mid-ingest"
 "$REPRO" --scale "$SCALE" --seed "$SEED" --quiet --table t1 \
     --fault-plan "$scratch/plan.json" \
-    --checkpoint-dir "$scratch/ckpt" --checkpoint-every 200 \
+    --checkpoint-dir "$scratch/ckpt" --checkpoint-every 200 --spill-cap 64 \
     --json "$scratch/killed.json" > /dev/null 2>&1 &
 victim=$!
 
-# Kill as soon as the first checkpoint lands on disk — mid-ingest, with
-# dedup shards half-populated and chunks on the stage pool.
+# The store publishes an empty manifest as soon as it opens; a commit has
+# landed once the manifest references segment bytes.
+committed() {
+    grep -qs '"\(active_\)\?len": [1-9]' "$scratch/ckpt/store/MANIFEST.json"
+}
+
+# Kill as soon as the first store commit lands — mid-ingest, with dedup
+# shards half-populated and chunks on the stage pool.
 for _ in $(seq 1 600); do
-    [ -f "$scratch/ckpt/study_checkpoint.json" ] && break
+    committed && break
     kill -0 "$victim" 2> /dev/null || break
     sleep 0.05
 done
 if kill -9 "$victim" 2> /dev/null; then
-    echo "killed pid $victim after the first checkpoint"
+    echo "killed pid $victim after the first store commit"
 else
     echo "note: victim finished before the kill landed (still a valid resume test)"
 fi
 wait "$victim" 2> /dev/null || true
 
-if [ ! -f "$scratch/ckpt/study_checkpoint.json" ]; then
-    echo "FAIL: no checkpoint was written before the kill" >&2
+if ! committed; then
+    echo "FAIL: no store commit landed before the kill" >&2
     exit 1
 fi
 
-step "resume: continue from the on-disk checkpoint"
+step "sabotage: append a torn tail past the committed segment length"
+seg=$(ls -t "$scratch/ckpt/store"/*.seg 2> /dev/null | head -n 1)
+if [ -z "$seg" ]; then
+    echo "FAIL: no segment file found to sabotage" >&2
+    exit 1
+fi
+printf 'torn tail: bytes a crash left past the committed length' >> "$seg"
+echo "appended garbage to $(basename "$seg")"
+
+step "resume: recover the store and continue from its checkpoint"
 "$REPRO" --scale "$SCALE" --seed "$SEED" --quiet --table t1 \
     --fault-plan "$scratch/plan.json" \
-    --checkpoint-dir "$scratch/ckpt" --resume \
+    --checkpoint-dir "$scratch/ckpt" --resume --spill-cap 64 \
+    --metrics "$scratch/metrics.json" \
     --json "$scratch/resumed.json" > /dev/null
 
 step "verify: resumed report is byte-identical to the baseline"
@@ -75,72 +96,12 @@ else
     exit 1
 fi
 
-# ---------------------------------------------------------------------
-# Store phase: the same drill with durability on the segment store
-# (--store): dedup shards spill to disk, the checkpoint commits inside
-# the store, and recovery must also survive a *torn segment tail* we
-# forge by appending garbage past the committed length — the exact
-# on-disk state a crash mid-append leaves behind.
-# ---------------------------------------------------------------------
-
-step "store victim: store-backed run, killed with SIGKILL mid-ingest"
-"$REPRO" --scale "$SCALE" --seed "$SEED" --quiet --table t1 \
-    --fault-plan "$scratch/plan.json" \
-    --checkpoint-dir "$scratch/store_ckpt" --checkpoint-every 200 \
-    --store --spill-cap 64 \
-    --json "$scratch/store_killed.json" > /dev/null 2>&1 &
-victim=$!
-
-# Kill as soon as the first store commit publishes its manifest.
-for _ in $(seq 1 600); do
-    [ -f "$scratch/store_ckpt/store/MANIFEST.json" ] && break
-    kill -0 "$victim" 2> /dev/null || break
-    sleep 0.05
-done
-if kill -9 "$victim" 2> /dev/null; then
-    echo "killed pid $victim after the first store commit"
-else
-    echo "note: victim finished before the kill landed (still a valid resume test)"
-fi
-wait "$victim" 2> /dev/null || true
-
-if [ ! -f "$scratch/store_ckpt/store/MANIFEST.json" ]; then
-    echo "FAIL: no store manifest was committed before the kill" >&2
-    exit 1
-fi
-
-step "store sabotage: append a torn tail past the committed segment length"
-seg=$(ls -t "$scratch/store_ckpt/store"/*.seg 2> /dev/null | head -n 1)
-if [ -z "$seg" ]; then
-    echo "FAIL: no segment file found to sabotage" >&2
-    exit 1
-fi
-printf 'torn tail: bytes a crash left past the committed length' >> "$seg"
-echo "appended garbage to $(basename "$seg")"
-
-step "store resume: recover the store and continue from its checkpoint"
-"$REPRO" --scale "$SCALE" --seed "$SEED" --quiet --table t1 \
-    --fault-plan "$scratch/plan.json" \
-    --checkpoint-dir "$scratch/store_ckpt" --resume \
-    --store --spill-cap 64 \
-    --metrics "$scratch/store_metrics.json" \
-    --json "$scratch/store_resumed.json" > /dev/null
-
-step "verify: store-resumed report is byte-identical to the baseline"
-if cmp -s "$scratch/clean.json" "$scratch/store_resumed.json"; then
-    echo "identical: $(wc -c < "$scratch/clean.json") bytes"
-else
-    echo "FAIL: store-resumed report differs from the uninterrupted baseline" >&2
-    cmp "$scratch/clean.json" "$scratch/store_resumed.json" || true
-    exit 1
-fi
-
 step "verify: recovery counted the torn tail (store.recovered_truncations)"
 truncations=$(sed -n 's/.*"store\.recovered_truncations": \([0-9][0-9]*\).*/\1/p' \
-    "$scratch/store_metrics.json")
+    "$scratch/metrics.json")
 if [ -z "$truncations" ] || [ "$truncations" -lt 1 ]; then
     echo "FAIL: store.recovered_truncations missing or zero in the metrics snapshot" >&2
-    grep -n "store\." "$scratch/store_metrics.json" >&2 || true
+    grep -n "store\." "$scratch/metrics.json" >&2 || true
     exit 1
 fi
 echo "store.recovered_truncations = $truncations"

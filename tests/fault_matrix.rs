@@ -5,16 +5,16 @@
 //!   timeouts, 429s, a source outage, slow and briefly-poisoned engine
 //!   workers) is **byte-identical** to the fault-free run;
 //! * a run killed mid-ingest by the plan's kill switch and resumed from
-//!   its checkpoint re-emits the exact bytes of the uninterrupted run;
+//!   its store checkpoint re-emits the exact bytes of the uninterrupted
+//!   run;
 //! * a plan with unrecoverable faults degrades **loudly**: the report
 //!   differs, and every missing document is accounted for in
 //!   `report.coverage` — never silently dropped;
-//! * the same contracts hold for store-backed durability: a fault-free
-//!   store-backed run, and a run SIGKILLed between the segment write
+//! * the same contracts hold with dedup spilling into the store: a
+//!   checkpointing run, and a run SIGKILLed between the segment write
 //!   and the manifest swap then resumed from the recovered store, are
-//!   both byte-identical to the in-memory run — with zero checkpointed
-//!   documents replayed through ingest and the Info-level event stream
-//!   unchanged.
+//!   both byte-identical to the in-memory run, with the Info-level
+//!   event stream unchanged.
 
 use doxing_repro::core::report::to_json;
 use doxing_repro::core::study::{StudyConfig, StudyConfigBuilder};
@@ -83,6 +83,15 @@ fn clean_json(workers: usize, shards: usize) -> String {
     json
 }
 
+/// Assert that a resumed run skipped `skipped` checkpointed documents
+/// and ingested every other one exactly once.
+fn assert_resume_accounting(registry: &Registry, skipped: u64, topology: (usize, usize)) {
+    let skip = registry.counter("study.resume.skipped_docs").get();
+    let collected = registry.counter("pipeline.funnel.collected").get();
+    let total = base(1, 1).build().synth.total_documents();
+    assert_eq!((skip, collected + skip), (skipped, total), "{topology:?}");
+}
+
 fn scratch_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("dox_fault_matrix_{}_{tag}", std::process::id()))
 }
@@ -135,7 +144,8 @@ fn kill_and_resume_reproduces_the_report_byte_for_byte() {
             .checkpoint_every(400)
             .resume(true)
             .build();
-        let resumed = Study::with_registry(resumed_cfg, Registry::new())
+        let registry = Registry::new();
+        let resumed = Study::with_registry(resumed_cfg, registry.clone())
             .run()
             .expect("resumed study runs");
         assert_eq!(
@@ -144,6 +154,9 @@ fn kill_and_resume_reproduces_the_report_byte_for_byte() {
             "(workers={workers}, shards={shards}) kill + resume must \
              re-emit the exact bytes of the uninterrupted run"
         );
+        // Killed after 1,500 documents with a checkpoint every 400: the
+        // last durable commit covers 1,200.
+        assert_resume_accounting(&registry, 1_200, (workers, shards));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -168,12 +181,8 @@ fn store_backed_kill_mid_commit_and_resume_is_byte_identical() {
         let _ = std::fs::remove_dir_all(&dir);
         // A tiny spill cap so every shard actually pages dedup state
         // out to the store instead of keeping the run in memory.
-        let store_base = |b: StudyConfigBuilder| {
-            b.checkpoint_dir(&dir)
-                .checkpoint_every(400)
-                .store_backed(true)
-                .spill_cap(64)
-        };
+        let store_base =
+            |b: StudyConfigBuilder| b.checkpoint_dir(&dir).checkpoint_every(400).spill_cap(64);
 
         // Store-backed run under the recoverable storm: spilling and
         // store checkpoints must not change a byte of the report. This
@@ -192,6 +201,24 @@ fn store_backed_kill_mid_commit_and_resume_is_byte_identical() {
             "(workers={workers}, shards={shards}) store-backed run must \
              be byte-identical to the in-memory fault-free run"
         );
+        // Resuming the finished run ingests nothing: its last commit
+        // covers the whole stream, so the monitor's later commit on the
+        // same store never publishes dedup spill ahead of a checkpoint.
+        let finished = Registry::new();
+        let again = Study::with_registry(
+            store_base(base(workers, shards).faults(recoverable_plan()))
+                .resume(true)
+                .build(),
+            finished.clone(),
+        )
+        .run()
+        .expect("a finished run resumes");
+        assert_eq!(
+            to_json(&again).expect("report serializes"),
+            clean_json(workers, shards)
+        );
+        let total = base(1, 1).build().synth.total_documents();
+        assert_resume_accounting(&finished, total, (workers, shards));
 
         // SIGKILL the second store commit between the segment write and
         // the manifest swap: the torn commit must roll back to the
@@ -221,18 +248,9 @@ fn store_backed_kill_mid_commit_and_resume_is_byte_identical() {
             "(workers={workers}, shards={shards}) store kill + resume \
              must re-emit the exact bytes of the uninterrupted run"
         );
-        assert_eq!(
-            registry.counter("study.resume.replayed_docs").get(),
-            0,
-            "(workers={workers}, shards={shards}) resume must replay \
-             zero checkpointed documents through ingest"
-        );
-        assert_eq!(
-            registry.counter("study.resume.skipped_docs").get(),
-            400,
-            "(workers={workers}, shards={shards}) the torn second commit \
-             must roll back to the first checkpoint (400 docs)"
-        );
+        // The torn second commit must roll back to the first
+        // checkpoint (400 docs).
+        assert_resume_accounting(&registry, 400, (workers, shards));
         assert_eq!(
             info_stream(&registry),
             info_stream(&clean_registry),
