@@ -34,6 +34,9 @@ const STORE_SPILL_CAP: usize = 4_096;
 /// Documents between durable store checkpoints in the store-backed run.
 const STORE_CHECKPOINT_EVERY: usize = 4_096;
 
+/// One full-corpus ingest configuration, returning its unique doxes.
+type Run<'a> = &'a dyn Fn(&EngineFixture) -> usize;
+
 struct EngineFixture {
     classifier: Arc<DoxClassifier>,
     docs: Vec<(u8, CollectedDoc)>,
@@ -253,22 +256,30 @@ impl EngineFixture {
         times[times.len() / 2]
     }
 
-    /// Fastest seconds per full-corpus pass over `samples` runs. The
-    /// trace-overhead gate compares against a pinned baseline, so it
-    /// wants the low-noise statistic, not the median.
-    fn time_min(&self, samples: usize, mut run: impl FnMut(&Self) -> usize) -> f64 {
-        (0..samples)
-            .map(|_| {
+    /// Fastest seconds per full-corpus pass of each of `runs` over
+    /// `samples` rounds. Every round times each config once, so a slow
+    /// phase of a shared machine lands on all of them alike, and each
+    /// round starts one config later, so no config always runs right
+    /// after the same one (the store run leaves dirty pages behind). The
+    /// overhead gates divide these minima by the plain engine's.
+    fn time_min_round_robin(&self, samples: usize, runs: &[Run<'_>]) -> Vec<f64> {
+        let mut best = vec![f64::INFINITY; runs.len()];
+        for round in 0..samples {
+            for k in 0..runs.len() {
+                let i = (round + k) % runs.len();
                 let start = Instant::now();
-                black_box(run(self));
-                start.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
+                black_box(runs[i](self));
+                best[i] = best[i].min(start.elapsed().as_secs_f64());
+            }
+        }
+        best
     }
 }
 
 /// One untimed instrumented pass: per-stage observation counts and
-/// docs/s derived from the `pipeline.stage.*` span histograms.
+/// rates derived from the `pipeline.stage.*` span histograms. `route` is
+/// observed once per folded chunk, every other stage once per document
+/// it handles, so each row names its unit and its rate says which.
 fn per_stage_rows(fixture: &EngineFixture) -> String {
     let (workers, shards) = TRACE_TOPOLOGY;
     let engine = Engine::builder()
@@ -297,9 +308,10 @@ fn per_stage_rows(fixture: &EngineFixture) -> String {
         if h.count == 0 || h.sum == 0 {
             continue;
         }
+        let unit = if stage == "route" { "chunks" } else { "docs" };
         rows.push(format!(
-            "    {{ \"stage\": \"{stage}\", \"count\": {}, \"total_ns\": {}, \
-             \"docs_per_sec\": {:.0} }}",
+            "    {{ \"stage\": \"{stage}\", \"unit\": \"{unit}\", \"count\": {}, \
+             \"total_ns\": {}, \"{unit}_per_sec\": {:.0} }}",
             h.count,
             h.sum,
             h.count as f64 / (h.sum as f64 / 1e9)
@@ -345,14 +357,25 @@ fn write_json(fixture: &EngineFixture, samples: usize) {
             tf / t
         ));
     }
-    // Tracing overhead at the reference topology: disabled must price out
-    // at zero (scripts/trace_overhead_gate.sh holds it within 2% of the
-    // pre-tracing baseline) and 1% sampling at low single digits. Timed
-    // with `time_min` — see its doc comment.
+    // Overheads at the reference topology, each relative to the plain
+    // engine timed in the same rounds (see `time_min_round_robin`):
+    // scripts/trace_overhead_gate.sh holds disabled tracing within 2%,
+    // 1% sampling should cost low single digits, and
+    // scripts/store_overhead_gate.sh holds store-backed dedup plus
+    // durable checkpoints within 10%. The resume row records the
+    // O(checkpoint) restart the store buys.
     let (tw, ts) = TRACE_TOPOLOGY;
-    let plain = fixture.time_min(samples, |f| f.run_engine(tw, ts));
-    for (label, ppm) in [("trace-off", 0u32), ("trace-1pct", 10_000)] {
-        let t = fixture.time_min(samples, |f| f.run_engine_traced(tw, ts, ppm));
+    let store_dir = std::env::temp_dir().join(format!("dox_bench_store_{}", std::process::id()));
+    let configs: [(&str, Run<'_>); 4] = [
+        ("plain", &|f| f.run_engine(tw, ts)),
+        ("trace-off", &|f| f.run_engine_traced(tw, ts, 0)),
+        ("trace-1pct", &|f| f.run_engine_traced(tw, ts, 10_000)),
+        ("store-dedup", &|f| f.run_engine_store(tw, ts, &store_dir)),
+    ];
+    let runs: Vec<_> = configs.iter().map(|&(_, run)| run).collect();
+    let times = fixture.time_min_round_robin(samples, &runs);
+    let plain = times[0];
+    for ((label, _), t) in configs.iter().zip(&times) {
         entries.push(format!(
             "    {{ \"config\": \"engine w{tw} s{ts} {label}\", \"workers\": {tw}, \
              \"shards\": {ts}, \"timer\": \"min\", \"seconds\": {t:.6}, \
@@ -361,19 +384,10 @@ fn write_json(fixture: &EngineFixture, samples: usize) {
             t / plain
         ));
     }
-    // Store-backed dedup + durable checkpoints at the reference
-    // topology: scripts/store_overhead_gate.sh holds this within 10%
-    // of the plain engine (best-of-N, like the trace gate), and the
-    // resume row records the O(checkpoint) restart the store buys.
-    let store_dir = std::env::temp_dir().join(format!("dox_bench_store_{}", std::process::id()));
-    let t_store = fixture.time_min(samples, |f| f.run_engine_store(tw, ts, &store_dir));
-    entries.push(format!(
-        "    {{ \"config\": \"engine w{tw} s{ts} store-dedup\", \"workers\": {tw}, \
-         \"shards\": {ts}, \"timer\": \"min\", \"seconds\": {t_store:.6}, \
-         \"docs_per_sec\": {:.0}, \"overhead_vs_plain\": {:.3} }}",
-        docs as f64 / t_store,
-        t_store / plain
-    ));
+    let t_store = times[3];
+    // The store run is not always last in a round, so lay its store
+    // down again for the resume timing.
+    fixture.run_engine_store(tw, ts, &store_dir);
     let t_resume = fixture.store_resume_seconds(samples, tw, ts, &store_dir);
     entries.push(format!(
         "    {{ \"config\": \"engine w{tw} s{ts} store-resume\", \"workers\": {tw}, \

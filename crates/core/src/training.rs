@@ -73,15 +73,27 @@ impl DoxClassifier {
         )
     }
 
-    /// Classify one plain-text document.
+    /// Classify one plain-text document: `decision(text) > 0.0`.
     pub fn is_dox(&self, text: &str) -> bool {
-        self.model.predict(&self.vectorizer.transform(text))
+        self.decision(text) > 0.0
     }
 
-    /// The raw decision value (distance from the separating hyperplane).
+    /// The raw decision value (distance from the separating hyperplane),
+    /// bit-identical to `model().decision_function(&vectorizer().transform(text))`
+    /// but computed without materializing the TF-IDF vector.
     pub fn decision(&self, text: &str) -> f64 {
-        self.model
-            .decision_function(&self.vectorizer.transform(text))
+        self.vectorizer
+            .decision(text, self.model.weights(), self.model.intercept())
+    }
+
+    /// The fitted TF-IDF vectorizer.
+    pub fn vectorizer(&self) -> &TfidfVectorizer {
+        &self.vectorizer
+    }
+
+    /// The trained linear model.
+    pub fn model(&self) -> &SgdClassifier {
+        &self.model
     }
 
     /// The most dox-indicative vocabulary terms, for model inspection.
@@ -103,8 +115,8 @@ impl DoxClassifier {
 /// The trained classifier is the engine's classification stage: this is
 /// the only coupling between `dox-core` and the generic streaming engine.
 impl dox_engine::DoxDetector for DoxClassifier {
-    fn is_dox(&self, text: &str) -> bool {
-        DoxClassifier::is_dox(self, text)
+    fn decision(&self, text: &str) -> f64 {
+        DoxClassifier::decision(self, text)
     }
 }
 

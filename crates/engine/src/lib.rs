@@ -19,7 +19,9 @@
 //!
 //! struct Keyword;
 //! impl DoxDetector for Keyword {
-//!     fn is_dox(&self, text: &str) -> bool { text.contains("dox") }
+//!     fn decision(&self, text: &str) -> f64 {
+//!         if text.contains("dox") { 1.0 } else { -1.0 }
+//!     }
 //! }
 //!
 //! let engine = Engine::builder().workers(2).shards(4).build()?;
@@ -308,7 +310,9 @@ impl Engine {
     /// # use std::sync::Arc;
     /// # struct Keyword;
     /// # impl DoxDetector for Keyword {
-    /// #     fn is_dox(&self, text: &str) -> bool { text.contains("dox") }
+    /// #     fn decision(&self, text: &str) -> f64 {
+    /// #         if text.contains("dox") { 1.0 } else { -1.0 }
+    /// #     }
     /// # }
     /// let engine = Engine::builder().workers(1).build()?;
     /// let registry = dox_obs::Registry::new();
@@ -489,8 +493,8 @@ mod tests {
     fn session_builder_rejects_shard_mismatched_resume() {
         struct Never;
         impl DoxDetector for Never {
-            fn is_dox(&self, _text: &str) -> bool {
-                false
+            fn decision(&self, _text: &str) -> f64 {
+                -1.0
             }
         }
         let engine = Engine::builder()

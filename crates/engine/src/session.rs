@@ -549,8 +549,12 @@ mod tests {
     struct KeywordDetector;
 
     impl DoxDetector for KeywordDetector {
-        fn is_dox(&self, text: &str) -> bool {
-            text.contains("dox")
+        fn decision(&self, text: &str) -> f64 {
+            if text.contains("dox") {
+                1.0
+            } else {
+                -1.0
+            }
         }
     }
 
@@ -833,9 +837,13 @@ mod tests {
     struct PanicsOnMarker;
 
     impl DoxDetector for PanicsOnMarker {
-        fn is_dox(&self, text: &str) -> bool {
+        fn decision(&self, text: &str) -> f64 {
             assert!(!text.contains("MARKER"), "detector choked on a marked doc");
-            text.contains("dox")
+            if text.contains("dox") {
+                1.0
+            } else {
+                -1.0
+            }
         }
     }
 

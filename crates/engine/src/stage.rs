@@ -11,31 +11,43 @@ use crate::output::StagedDoc;
 use dox_obs::{Counter, Histogram, LocalHistogram, Registry};
 use dox_sites::collect::CollectedDoc;
 use dox_textkit::html::html_to_text;
+use std::borrow::Cow;
 use std::time::Instant;
 
-/// The classification stage seen by the engine: anything that can say
-/// whether a plain-text document is a dox.
+/// The classification stage seen by the engine: anything that can score
+/// how dox-like a plain-text document is.
 ///
 /// The trained TF-IDF + SGD `DoxClassifier` in `dox-core` is the real
-/// implementation; tests substitute keyword stubs. Implementations must
-/// be pure (same text → same verdict) or the run stops being a pure
-/// function of `(config, seed)`.
+/// implementation; tests substitute keyword stubs returning ±1.0.
+/// Implementations must be pure (same text → same decision bits) or the
+/// run stops being a pure function of `(config, seed)`.
 pub trait DoxDetector: Send + Sync {
-    /// Classify one plain-text document.
-    fn is_dox(&self, text: &str) -> bool;
+    /// The signed decision value of one plain-text document: positive
+    /// means dox, and its magnitude is the classifier's margin.
+    fn decision(&self, text: &str) -> f64;
+
+    /// Classify one plain-text document: `decision(text) > 0.0`. The
+    /// stage derives verdicts from [`DoxDetector::decision`] directly, so
+    /// an override must keep this equivalence.
+    fn is_dox(&self, text: &str) -> bool {
+        self.decision(text) > 0.0
+    }
 }
 
 impl<T: DoxDetector + ?Sized> DoxDetector for &T {
-    fn is_dox(&self, text: &str) -> bool {
-        (**self).is_dox(text)
+    fn decision(&self, text: &str) -> f64 {
+        (**self).decision(text)
     }
 }
 
 impl<T: DoxDetector + ?Sized> DoxDetector for std::sync::Arc<T> {
-    fn is_dox(&self, text: &str) -> bool {
-        (**self).is_dox(text)
+    fn decision(&self, text: &str) -> f64 {
+        (**self).decision(text)
     }
 }
+
+/// `|decision|` below this counts as a near-boundary verdict.
+const NEAR_BOUNDARY: f64 = 0.1;
 
 /// Pre-resolved shared handles for the per-document stage metrics
 /// (Figure 1's conversion/classify/extract stages), resolved once so
@@ -50,6 +62,10 @@ pub struct StageMetrics {
     pub classify_ns: Histogram,
     /// Extraction durations, nanoseconds.
     pub extract_ns: Histogram,
+    /// `|decision|` of every classified document, in thousandths.
+    pub classify_margin: Histogram,
+    /// Classified documents with `|decision| < 0.1`.
+    pub near_boundary: Counter,
 }
 
 impl StageMetrics {
@@ -60,6 +76,8 @@ impl StageMetrics {
             html_convert_ns: registry.histogram("pipeline.stage.html_convert"),
             classify_ns: registry.histogram("pipeline.stage.classify"),
             extract_ns: registry.histogram("pipeline.stage.extract"),
+            classify_margin: registry.histogram("pipeline.classify.margin"),
+            near_boundary: registry.counter("pipeline.classify.near_boundary"),
         }
     }
 }
@@ -76,6 +94,10 @@ pub struct StageLocal {
     pub extract: LocalHistogram,
     /// Documents converted from HTML.
     pub html_converted: u64,
+    /// Classification margins `|decision|`, in thousandths.
+    pub margin: LocalHistogram,
+    /// Classified documents with `|decision| < 0.1`.
+    pub near_boundary: u64,
 }
 
 impl StageLocal {
@@ -87,32 +109,47 @@ impl StageLocal {
         self.extract.merge_into(&metrics.extract_ns);
         metrics.html_converted.add(self.html_converted);
         self.html_converted = 0;
+        self.margin.merge_into(&metrics.classify_margin);
+        metrics.near_boundary.add(self.near_boundary);
+        self.near_boundary = 0;
+    }
+
+    /// Record one decision's margin.
+    fn record_margin(&mut self, decision: f64) {
+        let margin = decision.abs();
+        // Saturating float→int cast: margins past u64::MAX / 1000 clamp.
+        self.margin.record((margin * 1000.0) as u64);
+        self.near_boundary += u64::from(margin < NEAR_BOUNDARY);
     }
 }
 
 /// The pure (parallelizable) per-document work: HTML conversion,
 /// classification, and — for classified doxes — extraction. Stage timings
-/// land in `timings`; they observe the work without affecting the result.
+/// and decision margins land in `timings`; they observe the work without
+/// affecting the result. Plain-text bodies are classified in place; the
+/// owned text is made only for documents classified as doxes.
 pub fn classify_and_extract<C: DoxDetector + ?Sized>(
     classifier: &C,
     collected: &CollectedDoc,
     timings: &mut StageLocal,
 ) -> StagedDoc {
     let doc = &collected.doc;
-    let text = if doc.source.is_html() {
+    let text: Cow<'_, str> = if doc.source.is_html() {
         // dox-lint:allow(determinism) HTML-convert timing histogram; observation only
         let start = Instant::now();
         let text = html_to_text(&doc.body);
         timings.html_convert.record_duration(start.elapsed());
         timings.html_converted += 1;
-        text
+        Cow::Owned(text)
     } else {
-        doc.body.clone()
+        Cow::Borrowed(&doc.body)
     };
     // dox-lint:allow(determinism) classify timing histogram; observation only
     let start = Instant::now();
-    let is_dox = classifier.is_dox(&text);
+    let decision = classifier.decision(&text);
     timings.classify.record_duration(start.elapsed());
+    timings.record_margin(decision);
+    let is_dox = decision > 0.0;
     if !is_dox {
         return None;
     }
@@ -120,7 +157,7 @@ pub fn classify_and_extract<C: DoxDetector + ?Sized>(
     let start = Instant::now();
     let extracted = dox_extract::record::extract(&text);
     timings.extract.record_duration(start.elapsed());
-    Some((text, extracted))
+    Some((text.into_owned(), extracted))
 }
 
 #[cfg(test)]
@@ -134,8 +171,12 @@ mod tests {
     pub(crate) struct KeywordDetector;
 
     impl DoxDetector for KeywordDetector {
-        fn is_dox(&self, text: &str) -> bool {
-            text.contains("dox")
+        fn decision(&self, text: &str) -> f64 {
+            if text.contains("dox") {
+                1.0
+            } else {
+                -1.0
+            }
         }
     }
 
@@ -173,6 +214,39 @@ mod tests {
         assert!(classify_and_extract(&KeywordDetector, &collected, &mut timings).is_none());
         assert_eq!(timings.extract.count(), 0);
         assert_eq!(timings.html_converted, 0);
+        assert_eq!(
+            timings.margin.count(),
+            1,
+            "rejected documents still have a margin"
+        );
+    }
+
+    #[test]
+    fn margins_are_recorded_in_thousandths_and_merged_once() {
+        struct Fixed(f64);
+        impl DoxDetector for Fixed {
+            fn decision(&self, _text: &str) -> f64 {
+                self.0
+            }
+        }
+        let registry = Registry::new();
+        let metrics = StageMetrics::resolve(&registry);
+        let mut timings = StageLocal::default();
+        let collected = doc(Source::Pastebin, "anything");
+        for d in [0.05, -0.0999, -2.5, 0.1] {
+            let _ = classify_and_extract(&Fixed(d), &collected, &mut timings);
+        }
+        timings.merge_into(&metrics);
+        assert_eq!(metrics.classify_margin.count(), 4);
+        assert_eq!(metrics.classify_margin.sum(), 50 + 99 + 2500 + 100);
+        assert_eq!(metrics.near_boundary.get(), 2);
+        timings.merge_into(&metrics);
+        assert_eq!(
+            metrics.near_boundary.get(),
+            2,
+            "merge leaves the local empty"
+        );
+        assert_eq!(metrics.classify_margin.count(), 4);
     }
 
     #[test]

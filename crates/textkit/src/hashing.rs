@@ -8,7 +8,7 @@
 //! whether a token adds or subtracts, which keeps hash collisions unbiased.
 
 use crate::sparse::SparseVec;
-use crate::tokenize::{Tokenizer, TokenizerConfig};
+use crate::tokenize::{TokenScratch, Tokenizer, TokenizerConfig};
 
 /// A stateless signed feature-hashing vectorizer.
 #[derive(Debug, Clone)]
@@ -44,15 +44,15 @@ impl HashingVectorizer {
 
     /// Vectorize one document. Stateless — no fit step.
     pub fn transform(&self, doc: &str) -> SparseVec {
-        let tokens = self.tokenizer.tokenize(doc);
-        let mut pairs = Vec::with_capacity(tokens.len());
-        for tok in &tokens {
-            let h = fnv1a(tok.as_bytes());
-            let bucket = (h % u64::from(self.n_features)) as u32;
-            // Secondary hash bit decides the sign.
-            let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
-            pairs.push((bucket, sign));
-        }
+        let mut pairs = Vec::new();
+        self.tokenizer
+            .for_each_token(doc, &mut TokenScratch::default(), |tok| {
+                let h = fnv1a(tok.as_bytes());
+                let bucket = (h % u64::from(self.n_features)) as u32;
+                // Secondary hash bit decides the sign.
+                let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
+                pairs.push((bucket, sign));
+            });
         let mut v = SparseVec::from_pairs(pairs);
         if self.l2_normalize {
             v.l2_normalize();

@@ -44,6 +44,13 @@ impl SparseVec {
         Self { indices, values }
     }
 
+    /// Build from parallel arrays the caller already holds strictly
+    /// increasing (the TF-IDF inference path), skipping the check.
+    pub(crate) fn from_sorted(indices: Vec<u32>, values: Vec<f64>) -> Self {
+        debug_assert!(indices.len() == values.len() && indices.windows(2).all(|w| w[0] < w[1]));
+        Self { indices, values }
+    }
+
     /// Build from an unsorted list of `(index, count)` pairs, summing
     /// duplicates and dropping zeros.
     pub fn from_pairs(mut pairs: Vec<(u32, f64)>) -> Self {
@@ -116,13 +123,7 @@ impl SparseVec {
     /// Indices beyond `dense.len()` contribute zero, so a model trained on a
     /// smaller vocabulary can score a vector from a larger one.
     pub fn dot_dense(&self, dense: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for (&i, &v) in self.indices.iter().zip(&self.values) {
-            if let Some(&w) = dense.get(i as usize) {
-                acc += w * v;
-            }
-        }
-        acc
+        dot_dense(&self.indices, &self.values, dense)
     }
 
     /// Sparse-sparse dot product. `O(nnz_a + nnz_b)`.
@@ -155,7 +156,7 @@ impl SparseVec {
 
     /// Euclidean (l2) norm.
     pub fn l2_norm(&self) -> f64 {
-        self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
+        l2_norm(&self.values)
     }
 
     /// Sum of absolute values (l1 norm).
@@ -173,10 +174,7 @@ impl SparseVec {
     /// Normalize to unit l2 norm; the zero vector is left unchanged
     /// (matching scikit-learn's `normalize`).
     pub fn l2_normalize(&mut self) {
-        let n = self.l2_norm();
-        if n > 0.0 {
-            self.scale(1.0 / n);
-        }
+        l2_normalize(&mut self.values);
     }
 
     /// Cosine similarity in `[−1, 1]`; zero when either vector is zero.
@@ -206,6 +204,36 @@ impl SparseVec {
     /// Assert the structural invariants; used by property tests.
     pub fn check_invariants(&self) -> bool {
         self.indices.len() == self.values.len() && self.indices.windows(2).all(|w| w[0] < w[1])
+    }
+}
+
+/// `Σ dense[i] · v` over parallel `indices`/`values`, accumulated in
+/// index order; indices past `dense.len()` contribute zero. The one
+/// definition behind [`SparseVec::dot_dense`] and TF-IDF decisions.
+pub(crate) fn dot_dense(indices: &[u32], values: &[f64], dense: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for (&i, &v) in indices.iter().zip(values) {
+        if let Some(&w) = dense.get(i as usize) {
+            acc += w * v;
+        }
+    }
+    acc
+}
+
+fn l2_norm(values: &[f64]) -> f64 {
+    values.iter().map(|v| v * v).sum::<f64>().sqrt()
+}
+
+/// Scale `values` to unit l2 norm by one multiply with `1 / norm`; zero
+/// vectors are left unchanged. Shared by [`SparseVec::l2_normalize`] and
+/// the TF-IDF inference path.
+pub(crate) fn l2_normalize(values: &mut [f64]) {
+    let n = l2_norm(values);
+    if n > 0.0 {
+        let factor = 1.0 / n;
+        for v in values {
+            *v *= factor;
+        }
     }
 }
 

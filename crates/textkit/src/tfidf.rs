@@ -10,11 +10,24 @@
 //!
 //! [`TfidfVectorizer`] reproduces that behaviour; every knob is exposed via
 //! [`TfidfConfig`] so ablation benchmarks can vary them.
+//!
+//! Inference has one path, shared by [`TfidfVectorizer::transform`] and
+//! [`TfidfVectorizer::decision`], and it allocates nothing per document
+//! once a thread's scratch buffers have grown: tokens are borrowed slices
+//! of a reused lowercase buffer, vocabulary hits are feature indices in a
+//! reused `Vec<u32>`, and sorting plus run-length counting replace a map.
+//! The float operations are the ones the textbook pipeline performs, in
+//! the same order — count, `tf · idf` per feature in increasing index
+//! order, the l2 norm over those values in that order, one multiply by
+//! `1 / norm`, then `acc += w · v` — so decision values are bit-identical
+//! to building a [`SparseVec`] with [`SparseVec::from_pairs`],
+//! [`SparseVec::map_values`], [`SparseVec::l2_normalize`] and
+//! [`SparseVec::dot_dense`].
 
-use crate::sparse::SparseVec;
-use crate::tokenize::{Tokenizer, TokenizerConfig};
+use crate::sparse::{self, SparseVec};
+use crate::tokenize::{TokenScratch, Tokenizer, TokenizerConfig};
 use crate::vocab::{VocabBuilder, VocabConfig, Vocabulary};
-use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// Configuration for [`TfidfVectorizer`].
 #[derive(Debug, Clone, PartialEq)]
@@ -47,7 +60,7 @@ impl Default for TfidfConfig {
 }
 
 /// A fitted TF-IDF model: vocabulary plus idf weights.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TfidfModel {
     vocab: Vocabulary,
     idf: Vec<f64>,
@@ -128,8 +141,7 @@ impl TfidfVectorizer {
         }
         let vocab = builder.build(&self.config.vocab);
         let idf = compute_idf(&vocab, self.config.smooth_idf, self.config.use_idf);
-        self.model = Some(TfidfModel { vocab, idf });
-        self.model.as_ref().expect("just set")
+        self.model.insert(TfidfModel { vocab, idf })
     }
 
     /// Fit on `corpus` and transform every document.
@@ -143,36 +155,89 @@ impl TfidfVectorizer {
     /// # Panics
     /// Panics if the vectorizer has not been fitted.
     pub fn transform(&self, doc: &str) -> SparseVec {
-        let model = self
-            .model
+        with_scratch(|s| {
+            self.weigh(doc, s);
+            SparseVec::from_sorted(s.idx.clone(), s.vals.clone())
+        })
+    }
+
+    /// The linear decision value `w · x + intercept` of `doc`'s TF-IDF
+    /// vector `x` against dense `weights`, without materializing `x`.
+    ///
+    /// Bit-identical to `transform(doc).dot_dense(weights) + intercept`;
+    /// features past the end of `weights` contribute zero.
+    ///
+    /// # Panics
+    /// Panics if the vectorizer has not been fitted.
+    pub fn decision(&self, doc: &str, weights: &[f64], intercept: f64) -> f64 {
+        with_scratch(|s| {
+            self.weigh(doc, s);
+            sparse::dot_dense(&s.idx, &s.vals, weights) + intercept
+        })
+    }
+
+    fn fitted(&self) -> &TfidfModel {
+        self.model
             .as_ref()
-            .expect("TfidfVectorizer::transform called before fit");
-        let tokens = self.tokenizer.tokenize(doc);
-        let mut pairs: Vec<(u32, f64)> = Vec::with_capacity(tokens.len());
-        for tok in &tokens {
-            if let Some(idx) = model.vocab.get(tok) {
-                pairs.push((idx, 1.0));
+            .expect("TfidfVectorizer used before fit")
+    }
+
+    /// Weigh `doc` into `s.idx` (its distinct vocabulary features,
+    /// increasing) and `s.vals` (their tf·idf values, l2-normalized when
+    /// configured). See the module docs for the operation-order contract.
+    fn weigh(&self, doc: &str, s: &mut Scratch) {
+        let model = self.fitted();
+        let Scratch { tokens, idx, vals } = s;
+        idx.clear();
+        vals.clear();
+        self.tokenizer.for_each_token(doc, tokens, |tok| {
+            if let Some(feature) = model.vocab.get(tok) {
+                idx.push(feature);
             }
-        }
-        let counts = SparseVec::from_pairs(pairs);
-        let mut vec = counts.map_values(|idx, tf| {
+        });
+        idx.sort_unstable();
+        for run in idx.chunk_by(|a, b| a == b) {
+            // Counting is exact, so this equals summing 1.0 per occurrence.
+            let tf = run.len() as f64;
             let tf = if self.config.sublinear_tf {
                 1.0 + tf.ln()
             } else {
                 tf
             };
-            tf * model.idf[idx as usize]
-        });
-        if self.config.l2_normalize {
-            vec.l2_normalize();
+            // tf ≥ 1 and idf ≥ 1, so no value is the zero the sparse
+            // pipeline would drop.
+            vals.push(tf * model.idf[run[0] as usize]);
         }
-        vec
+        idx.dedup();
+        if self.config.l2_normalize {
+            sparse::l2_normalize(vals);
+        }
     }
 
     /// Transform a batch of documents.
     pub fn transform_batch<S: AsRef<str>>(&self, docs: &[S]) -> Vec<SparseVec> {
         docs.iter().map(|d| self.transform(d.as_ref())).collect()
     }
+}
+
+/// Per-thread inference buffers, reused across documents.
+#[derive(Default)]
+struct Scratch {
+    tokens: TokenScratch,
+    /// Vocabulary hits; after [`TfidfVectorizer::weigh`], one per feature.
+    idx: Vec<u32>,
+    /// The value of each feature in `idx`.
+    vals: Vec<f64>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// Run `f` on this thread's scratch. Callers never re-enter, so the
+/// borrow is always free.
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with_borrow_mut(f)
 }
 
 fn compute_idf(vocab: &Vocabulary, smooth: bool, use_idf: bool) -> Vec<f64> {
@@ -286,6 +351,75 @@ mod tests {
         let p = plain.transform(corpus[0]).get(idx);
         let s = sub.transform(corpus[0]).get(idx);
         assert!(s < p, "sublinear tf should reduce the weight of repeats");
+    }
+
+    /// The textbook pipeline the inference path must match bit for bit.
+    fn oracle(v: &TfidfVectorizer, doc: &str) -> SparseVec {
+        let model = v.model().unwrap();
+        let tokenizer = Tokenizer::new(v.config().tokenizer.clone());
+        let pairs = tokenizer
+            .tokenize(doc)
+            .iter()
+            .filter_map(|t| model.vocabulary().get(t).map(|i| (i, 1.0)))
+            .collect();
+        let mut vec = SparseVec::from_pairs(pairs).map_values(|i, tf| {
+            let tf = if v.config().sublinear_tf {
+                1.0 + tf.ln()
+            } else {
+                tf
+            };
+            tf * model.idf(i)
+        });
+        if v.config().l2_normalize {
+            vec.l2_normalize();
+        }
+        vec
+    }
+
+    #[test]
+    fn inference_is_bit_identical_to_the_textbook_pipeline() {
+        let configs = [
+            TfidfConfig::default(),
+            TfidfConfig {
+                sublinear_tf: true,
+                ..TfidfConfig::default()
+            },
+            TfidfConfig {
+                l2_normalize: false,
+                smooth_idf: false,
+                ..TfidfConfig::default()
+            },
+            TfidfConfig {
+                tokenizer: TokenizerConfig {
+                    ngram_range: (1, 2),
+                    ..TokenizerConfig::default()
+                },
+                ..TfidfConfig::default()
+            },
+        ];
+        let docs = [
+            "the the cat sat on the mat, THE END",
+            "ΣΑΣ Straße İstanbul dox dox",
+            "",
+            "unknown words only zzz",
+        ];
+        for config in configs {
+            let mut v = TfidfVectorizer::new(config);
+            v.fit(&CORPUS);
+            let n = v.model().unwrap().n_features();
+            let weights: Vec<f64> = (0..n - 1).map(|i| (i as f64 * 0.37).sin()).collect();
+            for doc in CORPUS.iter().chain(&docs) {
+                let expect = oracle(&v, doc);
+                let got = v.transform(doc);
+                assert_eq!(got.indices(), expect.indices(), "{doc}");
+                let bits =
+                    |x: &SparseVec| x.values().iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&expect), "{doc}");
+                let decision = v.decision(doc, &weights, -0.25);
+                let reference = expect.dot_dense(&weights) + -0.25;
+                assert_eq!(decision.to_bits(), reference.to_bits(), "{doc}");
+            }
+        }
     }
 
     #[test]

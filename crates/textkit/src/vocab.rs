@@ -4,6 +4,17 @@
 //! token's document frequency, which the TF-IDF vectorizer turns into idf
 //! weights. Construction is deterministic: feature indices are assigned by
 //! sorting the surviving tokens lexicographically, matching scikit-learn.
+//!
+//! Lookup sits on the per-document classify path, so the frozen
+//! vocabulary is a flat open-addressing table rather than a
+//! `HashMap<String, u32>`: one byte arena holding every token in index
+//! order, a `u32` offset per token, and a power-of-two slot array, at
+//! most half full, probed linearly with a small multiplicative hash.
+//! There is no per-token allocation and no SipHash on the lookup path.
+//! Dropping SipHash's collision resistance is safe here because the table
+//! is frozen once fitted: documents only probe it, so no input can grow
+//! a cluster, and the slowest lookup is bounded by the longest cluster the
+//! fitted vocabulary itself formed.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -31,13 +42,45 @@ impl Default for VocabConfig {
 }
 
 /// A frozen token→index mapping with document frequencies.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Vocabulary {
-    index: HashMap<String, u32>,
+    /// Every token, concatenated in feature-index order.
+    arena: String,
+    /// Token `i` is `arena[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    /// Open-addressing table: `(hash tag, feature index)`, or [`EMPTY`]
+    /// in the index half. Power-of-two length, at most half full.
+    slots: Vec<(u32, u32)>,
     /// Document frequency per feature index.
     doc_freq: Vec<u32>,
     /// Number of documents the vocabulary was fitted on.
     n_docs: usize,
+}
+
+/// Feature index marking an unused slot.
+const EMPTY: u32 = u32::MAX;
+
+/// Word-at-a-time multiplicative hash (FxHash-style) with a final
+/// avalanche, so both the low bits (slot) and high bits (tag) mix.
+fn token_hash(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
+    let mut h = bytes.len() as u64;
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        h = mix(h, u64::from_le_bytes(word));
+    }
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        // Little-endian, like the full words (no variable-length memcpy).
+        let word = tail.iter().rev().fold(0u64, |w, &b| w << 8 | u64::from(b));
+        h = mix(h, word);
+    }
+    h ^= h >> 29;
+    h = h.wrapping_mul(K);
+    h ^ (h >> 32)
 }
 
 /// Incremental builder: feed tokenized documents, then freeze.
@@ -87,21 +130,53 @@ impl VocabBuilder {
             entries.truncate(cap);
         }
         entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut index = HashMap::with_capacity(entries.len());
-        let mut doc_freq = Vec::with_capacity(entries.len());
-        for (i, (tok, df)) in entries.into_iter().enumerate() {
-            index.insert(tok, i as u32);
-            doc_freq.push(df);
-        }
-        Vocabulary {
-            index,
-            doc_freq,
-            n_docs,
-        }
+        Vocabulary::from_sorted(entries, n_docs)
     }
 }
 
 impl Vocabulary {
+    /// Freeze lexicographically sorted `(token, doc_freq)` entries:
+    /// entry `i` becomes feature `i`.
+    fn from_sorted(entries: Vec<(String, u32)>, n_docs: usize) -> Self {
+        let bytes: usize = entries.iter().map(|(tok, _)| tok.len()).sum();
+        assert!(
+            bytes <= u32::MAX as usize && entries.len() < EMPTY as usize,
+            "vocabulary exceeds u32 offsets and indices"
+        );
+        let mut arena = String::with_capacity(bytes);
+        let mut offsets = Vec::with_capacity(entries.len() + 1);
+        let mut doc_freq = Vec::with_capacity(entries.len());
+        offsets.push(0);
+        for (tok, df) in entries {
+            arena.push_str(&tok);
+            offsets.push(arena.len() as u32);
+            doc_freq.push(df);
+        }
+        let mut vocab = Vocabulary {
+            arena,
+            offsets,
+            slots: vec![(0, EMPTY); (2 * doc_freq.len()).next_power_of_two().max(8)],
+            doc_freq,
+            n_docs,
+        };
+        let mask = vocab.slots.len() - 1;
+        for idx in 0..vocab.len() as u32 {
+            let h = token_hash(vocab.token(idx).as_bytes());
+            let mut pos = h as usize & mask;
+            while vocab.slots[pos].1 != EMPTY {
+                pos = (pos + 1) & mask;
+            }
+            vocab.slots[pos] = ((h >> 32) as u32, idx);
+        }
+        vocab
+    }
+
+    /// The token of feature `idx`.
+    fn token(&self, idx: u32) -> &str {
+        let i = idx as usize;
+        &self.arena[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
     /// Fit a vocabulary over pre-tokenized documents in one call.
     pub fn fit<S: AsRef<str>>(docs: &[Vec<S>], config: &VocabConfig) -> Self {
         let mut b = VocabBuilder::new();
@@ -113,7 +188,24 @@ impl Vocabulary {
 
     /// Feature index for `token`, if in vocabulary.
     pub fn get(&self, token: &str) -> Option<u32> {
-        self.index.get(token).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        let h = token_hash(token.as_bytes());
+        let tag = (h >> 32) as u32;
+        let mask = self.slots.len() - 1;
+        let mut pos = h as usize & mask;
+        // The table is at most half full, so the probe meets an empty slot.
+        loop {
+            let (slot_tag, idx) = self.slots[pos];
+            if idx == EMPTY {
+                return None;
+            }
+            if slot_tag == tag && self.token(idx) == token {
+                return Some(idx);
+            }
+            pos = (pos + 1) & mask;
+        }
     }
 
     /// Vocabulary size.
@@ -141,9 +233,7 @@ impl Vocabulary {
 
     /// Tokens in feature-index order (for diagnostics and model dumps).
     pub fn tokens_in_order(&self) -> Vec<&str> {
-        let mut v: Vec<(&str, u32)> = self.index.iter().map(|(t, &i)| (t.as_str(), i)).collect();
-        v.sort_unstable_by_key(|&(_, i)| i);
-        v.into_iter().map(|(t, _)| t).collect()
+        (0..self.len() as u32).map(|idx| self.token(idx)).collect()
     }
 }
 
@@ -222,6 +312,19 @@ mod tests {
         let v = Vocabulary::fit(&docs(&[]), &VocabConfig::default());
         assert!(v.is_empty());
         assert_eq!(v.n_docs(), 0);
+    }
+
+    #[test]
+    fn every_token_round_trips_through_the_table() {
+        let tokens: Vec<String> = (0..5000).map(|i| format!("tok{i}_{}", i * 7919)).collect();
+        let v = Vocabulary::fit(std::slice::from_ref(&tokens), &VocabConfig::default());
+        assert_eq!(v.len(), tokens.len());
+        for (idx, tok) in v.tokens_in_order().into_iter().enumerate() {
+            assert_eq!(v.get(tok), Some(idx as u32), "{tok}");
+        }
+        for miss in ["", "tok", "tok1_", "tok5000_39595000", "TOK1_7919"] {
+            assert_eq!(v.get(miss), None, "{miss}");
+        }
     }
 
     #[test]

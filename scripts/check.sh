@@ -78,7 +78,7 @@ scripts/serve_smoke.sh
 step "overload gate (10x burst: shed, quota, deadline, recovery, flat RSS)"
 scripts/overload_gate.sh
 
-step "trace overhead gate (tracing disabled within 2% of the PR 5 baseline)"
+step "trace overhead gate (tracing disabled within 2% of the plain engine, same run)"
 # Best-of-N timer: more samples only sharpen the min, and 7 proved too
 # few to shake off ambient load on a single-hardware-thread box.
 DOX_BENCH_SAMPLES=25 cargo bench -p dox-bench --bench bench_engine -- --test >/dev/null

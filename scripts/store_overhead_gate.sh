@@ -5,9 +5,9 @@
 #
 # Reads the "engine w4 s8 store-dedup" row of BENCH_engine.json, which
 # `cargo bench -p dox-bench --bench bench_engine` regenerates. The row
-# carries overhead_vs_plain = t_store / t_plain, both best-of-N on the
-# same run of the same machine, so the gate is self-relative — no
-# pinned cross-machine baseline to drift.
+# carries overhead_vs_plain = t_store / t_plain, both best-of-N timed
+# round-robin in the same rounds of the same run, so the gate is
+# self-relative — no pinned cross-machine baseline to drift.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -9,6 +9,7 @@
 use doxing_repro::core::report::to_json;
 use doxing_repro::core::study::{Study, StudyConfig};
 use doxing_repro::engine::EngineConfig;
+use doxing_repro::obs::{HistogramSnapshot, Registry};
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::sync::OnceLock;
@@ -76,4 +77,39 @@ fn many_workers_single_shard_matches_reference() {
 #[test]
 fn many_workers_many_shards_matches_reference() {
     assert_topology_matches_reference(4, 8);
+}
+
+/// The classifier's decision-margin telemetry for one run: the
+/// `pipeline.classify.margin` histogram summary and the near-boundary
+/// count.
+fn margin_metrics(study: &Study, reference: bool) -> (HistogramSnapshot, u64) {
+    if reference {
+        study.run_reference().expect("reference study runs");
+    } else {
+        study.run().expect("engine study runs");
+    }
+    let snapshot = study.registry().snapshot();
+    let margin = snapshot.spans["pipeline.classify.margin"].clone();
+    let near = snapshot.counters["pipeline.classify.near_boundary"];
+    (margin, near)
+}
+
+#[test]
+fn margin_metrics_are_topology_and_pipeline_invariant() {
+    let seed = SEEDS[0];
+    let study =
+        |workers, shards| Study::with_registry(config(seed, workers, shards), Registry::new());
+    let reference = margin_metrics(&study(1, 1), true);
+    assert!(
+        reference.0.count > 0,
+        "every classified document has a margin"
+    );
+    assert!(reference.1 <= reference.0.count);
+    for (workers, shards) in [(1, 1), (2, 8)] {
+        assert_eq!(
+            margin_metrics(&study(workers, shards), false),
+            reference,
+            "margin metrics at w{workers} s{shards} differ from the reference pipeline"
+        );
+    }
 }

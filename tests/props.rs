@@ -5,7 +5,8 @@ use dox_textkit::hashing::fnv1a;
 use dox_textkit::html::{decode_entities, html_to_text};
 use dox_textkit::similarity::{hamming, jaccard, shingles, simhash};
 use dox_textkit::sparse::SparseVec;
-use dox_textkit::tokenize::Tokenizer;
+use dox_textkit::tokenize::{lowercase_into, words, Tokenizer};
+use dox_textkit::vocab::{VocabConfig, Vocabulary};
 use doxing_repro::core::dedup::Deduplicator;
 use doxing_repro::extract::fields::{extract_emails, extract_phones, extract_ssns};
 use doxing_repro::extract::record::extract;
@@ -13,6 +14,59 @@ use doxing_repro::geo::ip::find_ipv4_literals;
 use doxing_repro::ml::metrics::ClassificationReport;
 use doxing_repro::ml::split::{kfold, stratified_split, train_test_split};
 use proptest::prelude::*;
+use std::collections::{BTreeSet, HashMap};
+
+/// The tokenizer's word rule as it was written before the streaming
+/// iterator: maximal runs of alphanumerics and `_`, at least `min_len`
+/// characters, over a `char_indices` scan.
+fn old_split_words(text: &str, min_len: usize) -> Vec<&str> {
+    let mut words = Vec::new();
+    let mut start: Option<usize> = None;
+    let mut char_count = 0usize;
+    for (idx, ch) in text.char_indices() {
+        let is_word = ch.is_alphanumeric() || ch == '_';
+        match (is_word, start) {
+            (true, None) => {
+                start = Some(idx);
+                char_count = 1;
+            }
+            (true, Some(_)) => char_count += 1,
+            (false, Some(s)) => {
+                if char_count >= min_len {
+                    words.push(&text[s..idx]);
+                }
+                start = None;
+            }
+            (false, None) => {}
+        }
+    }
+    if let Some(s) = start {
+        if char_count >= min_len {
+            words.push(&text[s..]);
+        }
+    }
+    words
+}
+
+/// Characters whose casing or class trips naive tokenizers: dotted
+/// capital I, capital and final sigma, sharp s (and its capital),
+/// titlecase digraph, combining dot, non-ASCII digits, ideographs.
+const TRICKY: [char; 16] = [
+    'İ', 'Σ', 'σ', 'ς', 'ß', 'ẞ', 'ǅ', '\u{307}', '٣', '中', 'é', 'Ω', '_', ' ', '-', '\u{a0}',
+];
+
+/// Build text from `(kind, value)` picks: ASCII, a [`TRICKY`] char, or
+/// any Unicode scalar value, so runs mix ASCII and non-ASCII freely.
+fn unicode_text(picks: &[(u8, u32)]) -> String {
+    picks
+        .iter()
+        .filter_map(|&(kind, value)| match kind % 3 {
+            0 => char::from_u32(0x20 + value % 0x5f),
+            1 => Some(TRICKY[value as usize % TRICKY.len()]),
+            _ => char::from_u32(value % 0x11_0000),
+        })
+        .collect()
+}
 
 proptest! {
     // ---------- tokenizer ----------
@@ -28,9 +82,69 @@ proptest! {
     }
 
     #[test]
+    fn streaming_words_match_to_lowercase_and_split(
+        picks in proptest::collection::vec((0u8..6, 0u32..0x11_0000), 0..80),
+        min_len in 1usize..4,
+    ) {
+        let text = unicode_text(&picks);
+        let mut lowered = String::from("stale");
+        lowercase_into(&text, &mut lowered);
+        let expect = text.to_lowercase();
+        prop_assert_eq!(&lowered, &expect);
+        let got: Vec<&str> = words(&lowered, min_len).collect();
+        prop_assert_eq!(got, old_split_words(&expect, min_len));
+        let tokens = Tokenizer::sklearn_default().tokenize(&text);
+        prop_assert_eq!(tokens, old_split_words(&expect, 2));
+    }
+
+    #[test]
+    fn ascii_scan_matches_split(
+        picks in proptest::collection::vec((0u8..4, 0u8..128), 0..400),
+        min_len in 1usize..5,
+    ) {
+        // Mostly short words and separators, plus any ASCII byte, so the
+        // byte-table path sees every class boundary.
+        let text: String = picks
+            .iter()
+            .map(|&(kind, value)| match kind {
+                0 | 1 => char::from(b'a' + value % 26),
+                2 => [' ', '.', '-', '\n'][usize::from(value % 4)],
+                _ => char::from(value),
+            })
+            .collect();
+        let got: Vec<&str> = words(&text, min_len).collect();
+        prop_assert_eq!(got, old_split_words(&text, min_len));
+    }
+
+    #[test]
     fn tokenization_is_deterministic(text in ".{0,200}") {
         let t = Tokenizer::sklearn_default();
         prop_assert_eq!(t.tokenize(&text), t.tokenize(&text));
+    }
+
+    // ---------- vocabulary ----------
+
+    #[test]
+    fn flat_vocab_get_matches_a_hash_map(
+        tokens in proptest::collection::vec("[a-zé0-9_]{1,9}", 0..300),
+        probes in proptest::collection::vec("[a-zé0-9_]{0,10}", 0..100),
+    ) {
+        let docs: Vec<Vec<String>> = tokens.chunks(7).map(<[String]>::to_vec).collect();
+        let vocab = Vocabulary::fit(&docs, &VocabConfig::default());
+        // Features are numbered by lexicographic rank.
+        let map: HashMap<&str, u32> = tokens
+            .iter()
+            .map(String::as_str)
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .zip(0u32..)
+            .collect();
+        prop_assert_eq!(vocab.len(), map.len());
+        for tok in tokens.iter().chain(&probes) {
+            prop_assert_eq!(vocab.get(tok), map.get(tok.as_str()).copied(), "token {:?}", tok);
+            let longer = format!("{tok}x");
+            prop_assert_eq!(vocab.get(&longer), map.get(longer.as_str()).copied());
+        }
     }
 
     // ---------- sparse vectors ----------
