@@ -55,7 +55,7 @@ use dox_synth::corpus::CorpusGenerator;
 use rand::RngExt;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::path::PathBuf;
@@ -469,7 +469,7 @@ pub struct ExperimentReport {
 
 /// The on-disk resumable state of a study: the engine session checkpoint
 /// plus enough identity to refuse resuming under a different experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct StudyCheckpoint {
     /// Fingerprint of `(seed, corpus volume, shards, fault plan)`.
     fingerprint: u64,
@@ -479,16 +479,6 @@ struct StudyCheckpoint {
     docs_ingested: u64,
     /// The engine's folded state.
     session: SessionCheckpoint,
-}
-
-impl serde::Deserialize for StudyCheckpoint {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        Some(StudyCheckpoint {
-            fingerprint: value.get("fingerprint")?.as_u64()?,
-            docs_ingested: value.get("docs_ingested")?.as_u64()?,
-            session: SessionCheckpoint::from_value(value.get("session")?)?,
-        })
-    }
 }
 
 /// What a resumed run must match: the corpus identity (seed + volume),
@@ -1421,6 +1411,38 @@ mod tests {
         let why = refusal(StudyConfig::builder().checkpoint_dir(&dir));
         assert!(why.contains("no checkpoint to resume"), "{why}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stored_study_checkpoint_round_trips_byte_identically() {
+        let dir = std::env::temp_dir().join(format!("dox_study_ck_{}", std::process::id()));
+        let config = StudyConfig::builder()
+            .scale(0.002)
+            .checkpoint_dir(&dir)
+            .checkpoint_every(500)
+            .build();
+        Study::with_registry(config, Registry::new())
+            .run()
+            .expect("study runs");
+        let store = Store::open(dir.join("store"), &Registry::new()).expect("store opens");
+        let table: StoreTable<String, String> = StoreTable::new(Arc::new(store), "study");
+        let json = table
+            .get(&"checkpoint".to_string())
+            .expect("store reads")
+            .expect("a checkpoint was committed");
+        let _ = std::fs::remove_dir_all(&dir);
+        let parsed: StudyCheckpoint = serde_json::from_str(&json).expect("decodes");
+        assert!(parsed.docs_ingested > 0);
+        assert!(!parsed.session.detected.is_empty());
+        assert_eq!(serde_json::to_string(&parsed).expect("serializes"), json);
+        let mut extra = serde_json::from_str::<serde::value::Value>(&json).expect("parses");
+        if let serde::value::Value::Object(entries) = &mut extra {
+            entries.push(("fingerprint".to_string(), serde::value::Value::Null));
+        }
+        assert!(
+            StudyCheckpoint::from_value(&extra).is_none(),
+            "repeated key"
+        );
     }
 
     #[test]

@@ -774,6 +774,51 @@ mod tests {
         }
     }
 
+    /// A checkpoint of [`corpus`] cut at doc 97 (workers 2, shards 4,
+    /// chunk 16), written by an earlier build of the engine. The
+    /// encoding must stay readable across versions: it re-encodes to
+    /// the same bytes, and resuming from it finishes byte-identical to
+    /// the uninterrupted run.
+    const CUT97_FIXTURE: &str = include_str!("../testdata/session_cut97.json");
+
+    #[test]
+    fn checkpoint_written_by_an_earlier_build_resumes_byte_identically() {
+        let build = || {
+            Engine::builder()
+                .workers(2)
+                .shards(4)
+                .chunk(16)
+                .build()
+                .expect("valid config")
+        };
+        let fixture: SessionCheckpoint =
+            serde_json::from_str(CUT97_FIXTURE).expect("fixture decodes");
+        let reencoded = serde_json::to_string(&fixture).expect("serializes");
+        assert_eq!(reencoded, CUT97_FIXTURE.trim_end(), "same bytes back");
+
+        let docs = corpus();
+        let registry = Registry::new();
+        let mut uninterrupted = start(&build(), &registry);
+        for (period, doc) in &docs {
+            uninterrupted.ingest(*period, doc.clone()).expect("valid");
+        }
+        let mut resumed = build()
+            .session_builder()
+            .detector(Arc::new(KeywordDetector))
+            .registry(&registry)
+            .resume_from(fixture)
+            .start()
+            .expect("shard counts match");
+        for (period, doc) in &docs[97..] {
+            resumed.ingest(*period, doc.clone()).expect("valid");
+        }
+        let final_state = |session: &mut Session| {
+            serde_json::to_string(&session.checkpoint().expect("folds")).expect("serializes")
+        };
+        assert_eq!(final_state(&mut resumed), final_state(&mut uninterrupted));
+        assert_same(&resumed.finish().expect("drains"), &sequential(&docs));
+    }
+
     #[test]
     fn checkpoint_then_continue_in_place_is_also_identical() {
         // A checkpoint must be a pure observation: taking one and carrying

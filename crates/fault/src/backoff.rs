@@ -8,7 +8,7 @@
 //! cap is exactly the cap. The property tests in
 //! `crates/fault/tests/backoff_props.rs` hold the proof to account.
 
-use crate::mix;
+use crate::{mix, plan_entries};
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
@@ -64,17 +64,17 @@ impl Backoff {
     }
 }
 
-// Hand-written: the vendored serde derives `Serialize` only. Missing
-// fields fall back to defaults; unknown fields are rejected.
+// Plan-file decoder: missing fields take their defaults (see
+// `plan_entries`).
 impl Deserialize for Backoff {
     fn from_value(value: &Value) -> Option<Self> {
         let mut backoff = Backoff::default();
-        for (field, v) in value.as_object()? {
+        for (field, v) in plan_entries(value)? {
             match field.as_str() {
-                "base" => backoff.base = v.as_u64()?,
-                "cap" => backoff.cap = v.as_u64()?,
-                "jitter_ppm" => backoff.jitter_ppm = u32::try_from(v.as_u64()?).ok()?,
-                "seed" => backoff.seed = v.as_u64()?,
+                "base" => backoff.base = Deserialize::from_value(v)?,
+                "cap" => backoff.cap = Deserialize::from_value(v)?,
+                "jitter_ppm" => backoff.jitter_ppm = Deserialize::from_value(v)?,
+                "seed" => backoff.seed = Deserialize::from_value(v)?,
                 _ => return None,
             }
         }
@@ -104,10 +104,10 @@ impl Default for RetryPolicy {
 impl Deserialize for RetryPolicy {
     fn from_value(value: &Value) -> Option<Self> {
         let mut policy = RetryPolicy::default();
-        for (field, v) in value.as_object()? {
+        for (field, v) in plan_entries(value)? {
             match field.as_str() {
-                "max_retries" => policy.max_retries = u32::try_from(v.as_u64()?).ok()?,
-                "backoff" => policy.backoff = Backoff::from_value(v)?,
+                "max_retries" => policy.max_retries = Deserialize::from_value(v)?,
+                "backoff" => policy.backoff = Deserialize::from_value(v)?,
                 _ => return None,
             }
         }

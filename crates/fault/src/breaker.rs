@@ -8,6 +8,7 @@
 //! drop an operation themselves, so document fate stays with the retry
 //! budget and the coverage-gap accounting.
 
+use crate::plan_entries;
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -67,17 +68,15 @@ impl Default for BreakerConfig {
     }
 }
 
-// Hand-written: the vendored serde derives `Serialize` only. Missing
-// fields fall back to defaults; unknown fields are rejected.
+// Plan-file decoder: missing fields take their defaults (see
+// `plan_entries`).
 impl Deserialize for BreakerConfig {
     fn from_value(value: &Value) -> Option<Self> {
         let mut config = BreakerConfig::default();
-        for (field, v) in value.as_object()? {
+        for (field, v) in plan_entries(value)? {
             match field.as_str() {
-                "failure_threshold" => {
-                    config.failure_threshold = u32::try_from(v.as_u64()?).ok()?;
-                }
-                "cooldown" => config.cooldown = v.as_u64()?,
+                "failure_threshold" => config.failure_threshold = Deserialize::from_value(v)?,
+                "cooldown" => config.cooldown = Deserialize::from_value(v)?,
                 _ => return None,
             }
         }

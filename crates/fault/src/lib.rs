@@ -61,6 +61,23 @@ pub use plan::{
 };
 pub use stats::{CoverageGaps, FaultStats};
 
+use serde::value::Value;
+
+/// The entries of a plan-file object, refusing a repeated key.
+///
+/// Plan-file types (`--fault-plan` files and the configs they embed) are
+/// the workspace's only hand-written decoders that differ from the
+/// derive: a missing key takes its default, so a partial plan is valid.
+/// An unknown or repeated key is still refused, so a typo fails loudly
+/// instead of silently meaning "default".
+pub(crate) fn plan_entries(value: &Value) -> Option<&[(String, Value)]> {
+    let entries = value.as_object()?;
+    let mut keys: Vec<&str> = entries.iter().map(|(key, _)| key.as_str()).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    (keys.len() == entries.len()).then_some(entries)
+}
+
 /// SplitMix64 finalizer: the one hash every fault decision and jitter
 /// draw derives from. Pure, seedable, entropy-free.
 pub(crate) fn mix(mut z: u64) -> u64 {

@@ -17,12 +17,14 @@
 //! * an **outage** fails any attempt whose virtual time falls inside the
 //!   window — recoverable iff the retry schedule outlives the window.
 
-use crate::{fnv1a, mix};
+use crate::{fnv1a, mix, plan_entries};
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
 /// Where in the pipeline a fault is injected.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub enum FaultDomain {
     /// The `Collector`/`SiteHub` fetch boundary (document collection).
     #[default]
@@ -62,29 +64,13 @@ impl std::fmt::Display for FaultDomain {
     }
 }
 
-// The vendored serde has no derive for `Deserialize`; plan files are
-// parsed by hand off the value tree, with unknown fields rejected so a
-// typo in a `--fault-plan` file fails loudly instead of silently meaning
-// "default".
-impl Deserialize for FaultDomain {
-    fn from_value(value: &Value) -> Option<Self> {
-        match value.as_str()? {
-            "Collect" => Some(FaultDomain::Collect),
-            "Probe" => Some(FaultDomain::Probe),
-            "Comments" => Some(FaultDomain::Comments),
-            "Stage" => Some(FaultDomain::Stage),
-            _ => None,
-        }
-    }
-}
-
 /// Where inside a store checkpoint a simulated SIGKILL lands.
 ///
 /// The interesting window for crash-consistency drills is the one the
 /// commit protocol is built around: segment data is written and fsync'd
 /// *before* the manifest swap publishes it, so a kill between the two
 /// must recover to the previous manifest with the tail discarded.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StoreKillPoint {
     /// Before any segment bytes of this checkpoint reach the file.
     BeforeSegmentWrite,
@@ -105,20 +91,16 @@ impl StoreKillPoint {
             StoreKillPoint::AfterManifestSwap => "after_manifest_swap",
         }
     }
-}
 
-impl Deserialize for StoreKillPoint {
-    fn from_value(value: &Value) -> Option<Self> {
-        match value.as_str()? {
-            "BeforeSegmentWrite" | "before_segment_write" => {
-                Some(StoreKillPoint::BeforeSegmentWrite)
-            }
-            "BetweenWriteAndSwap" | "between_write_and_swap" => {
-                Some(StoreKillPoint::BetweenWriteAndSwap)
-            }
-            "AfterManifestSwap" | "after_manifest_swap" => Some(StoreKillPoint::AfterManifestSwap),
-            _ => None,
-        }
+    /// The point whose [`name`](Self::name) is `name`.
+    fn named(name: &str) -> Option<Self> {
+        [
+            Self::BeforeSegmentWrite,
+            Self::BetweenWriteAndSwap,
+            Self::AfterManifestSwap,
+        ]
+        .into_iter()
+        .find(|point| point.name() == name)
     }
 }
 
@@ -173,15 +155,17 @@ pub struct OutageWindow {
     pub until: u64,
 }
 
+// Plan-file decoder: missing fields take their defaults (see
+// `plan_entries`).
 impl Deserialize for OutageWindow {
     fn from_value(value: &Value) -> Option<Self> {
         let mut window = OutageWindow::default();
-        for (field, v) in value.as_object()? {
+        for (field, v) in plan_entries(value)? {
             match field.as_str() {
-                "domain" => window.domain = FaultDomain::from_value(v)?,
-                "target" => window.target = v.as_str()?.to_string(),
-                "from" => window.from = v.as_u64()?,
-                "until" => window.until = v.as_u64()?,
+                "domain" => window.domain = Deserialize::from_value(v)?,
+                "target" => window.target = Deserialize::from_value(v)?,
+                "from" => window.from = Deserialize::from_value(v)?,
+                "until" => window.until = Deserialize::from_value(v)?,
                 _ => return None,
             }
         }
@@ -259,51 +243,35 @@ impl Default for FaultPlanConfig {
     }
 }
 
+// Plan-file decoder: missing fields take their defaults (see
+// `plan_entries`). `kill_store_point` also takes the point's lowercase
+// `name()`.
 impl Deserialize for FaultPlanConfig {
     fn from_value(value: &Value) -> Option<Self> {
-        let mut config = FaultPlanConfig::default();
-        for (field, v) in value.as_object()? {
+        let mut c = FaultPlanConfig::default();
+        for (field, v) in plan_entries(value)? {
             match field.as_str() {
-                "seed" => config.seed = v.as_u64()?,
-                "transient_ppm" => config.transient_ppm = u32::try_from(v.as_u64()?).ok()?,
-                "max_transient_failures" => {
-                    config.max_transient_failures = u32::try_from(v.as_u64()?).ok()?;
+                "seed" => c.seed = Deserialize::from_value(v)?,
+                "transient_ppm" => c.transient_ppm = Deserialize::from_value(v)?,
+                "max_transient_failures" => c.max_transient_failures = Deserialize::from_value(v)?,
+                "hard_ppm" => c.hard_ppm = Deserialize::from_value(v)?,
+                "rate_limited_ppm" => c.rate_limited_ppm = Deserialize::from_value(v)?,
+                "retry_after" => c.retry_after = Deserialize::from_value(v)?,
+                "server_error_code" => c.server_error_code = Deserialize::from_value(v)?,
+                "outages" => c.outages = Deserialize::from_value(v)?,
+                "slow_chunk_ppm" => c.slow_chunk_ppm = Deserialize::from_value(v)?,
+                "slow_chunk_yields" => c.slow_chunk_yields = Deserialize::from_value(v)?,
+                "poison_chunk_ppm" => c.poison_chunk_ppm = Deserialize::from_value(v)?,
+                "kill_after_docs" => c.kill_after_docs = Deserialize::from_value(v)?,
+                "kill_at_store_commit" => c.kill_at_store_commit = Deserialize::from_value(v)?,
+                "kill_store_point" => {
+                    c.kill_store_point = Deserialize::from_value(v)
+                        .or_else(|| StoreKillPoint::named(v.as_str()?))?;
                 }
-                "hard_ppm" => config.hard_ppm = u32::try_from(v.as_u64()?).ok()?,
-                "rate_limited_ppm" => config.rate_limited_ppm = u32::try_from(v.as_u64()?).ok()?,
-                "retry_after" => config.retry_after = v.as_u64()?,
-                "server_error_code" => {
-                    config.server_error_code = u16::try_from(v.as_u64()?).ok()?;
-                }
-                "outages" => {
-                    config.outages = v
-                        .as_array()?
-                        .iter()
-                        .map(OutageWindow::from_value)
-                        .collect::<Option<Vec<_>>>()?;
-                }
-                "slow_chunk_ppm" => config.slow_chunk_ppm = u32::try_from(v.as_u64()?).ok()?,
-                "slow_chunk_yields" => {
-                    config.slow_chunk_yields = u32::try_from(v.as_u64()?).ok()?;
-                }
-                "poison_chunk_ppm" => config.poison_chunk_ppm = u32::try_from(v.as_u64()?).ok()?,
-                "kill_after_docs" => {
-                    config.kill_after_docs = match v {
-                        Value::Null => None,
-                        other => Some(other.as_u64()?),
-                    };
-                }
-                "kill_at_store_commit" => {
-                    config.kill_at_store_commit = match v {
-                        Value::Null => None,
-                        other => Some(other.as_u64()?),
-                    };
-                }
-                "kill_store_point" => config.kill_store_point = StoreKillPoint::from_value(v)?,
                 _ => return None,
             }
         }
-        Some(config)
+        Some(c)
     }
 }
 
@@ -689,5 +657,15 @@ mod tests {
         let json = serde_json::to_string(&parsed).expect("serializes");
         let back: FaultPlanConfig = serde_json::from_str(&json).expect("round trip");
         assert_eq!(back, parsed);
+        for refused in [
+            r#"{"seed": 7, "seed": 8}"#,
+            r#"{"sead": 7}"#,
+            r#"{"outages": [{"from": 1, "from": 2}]}"#,
+        ] {
+            assert!(
+                serde_json::from_str::<FaultPlanConfig>(refused).is_err(),
+                "{refused}"
+            );
+        }
     }
 }

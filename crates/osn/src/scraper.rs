@@ -29,29 +29,6 @@ pub struct Observation {
     pub status: AccountStatus,
 }
 
-// The vendored serde cannot derive `Deserialize`; structs round-trip
-// as field objects with unknown fields rejected.
-impl Deserialize for Observation {
-    fn from_value(value: &serde::value::Value) -> Option<Self> {
-        let mut account = None;
-        let mut at = None;
-        let mut status = None;
-        for (field, v) in value.as_object()? {
-            match field.as_str() {
-                "account" => account = Some(AccountId::from_value(v)?),
-                "at" => at = Some(SimTime::from_value(v)?),
-                "status" => status = Some(AccountStatus::from_value(v)?),
-                _ => return None,
-            }
-        }
-        Some(Self {
-            account: account?,
-            at: at?,
-            status: status?,
-        })
-    }
-}
-
 /// Errors a scrape request can produce.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScrapeError {
@@ -78,7 +55,7 @@ impl std::fmt::Display for ScrapeError {
 impl std::error::Error for ScrapeError {}
 
 /// Token-bucket rate limiter over simulation time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RateLimiter {
     /// Requests admitted per sim-day.
     pub per_day: u64,

@@ -16,12 +16,12 @@
 //! a cluster, and the slowest lookup is bounded by the longest cluster the
 //! fitted vocabulary itself formed.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Document-frequency pruning options, mirroring sklearn's
 /// `min_df`/`max_df` parameters (defaults `1` and `1.0`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct VocabConfig {
     /// Drop tokens appearing in fewer than this many documents.
     pub min_df: usize,

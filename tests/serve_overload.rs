@@ -8,7 +8,7 @@
 
 use doxing_repro::core::study::Study;
 use doxing_repro::obs::http::DEFAULT_MAX_BODY;
-use doxing_repro::obs::{HttpServer, Registry, Tracer};
+use doxing_repro::obs::{HttpServer, Registry, ServerConfig, Tracer};
 use doxing_repro::serve::{router, QuotaSpec, ServeState, TenantSpec};
 use serde::value::{Number, Value};
 use serde::Serialize;
@@ -305,4 +305,78 @@ fn deeply_nested_json_is_refused_and_the_daemon_keeps_serving() {
     let mut stream = TcpStream::connect(&addr).expect("connect");
     let (status, _, _) = roundtrip(&mut stream, "GET", "/healthz", "");
     assert_eq!(status, 200, "the daemon survives hostile nesting");
+}
+
+#[test]
+fn hostile_ingest_documents_are_refused_by_index_and_no_worker_is_lost() {
+    // One worker: a request that cost it would leave every later
+    // request on this server unanswered.
+    let registry = Registry::new();
+    let state = Arc::new(ServeState::new(registry.clone()));
+    let server = HttpServer::start_with(
+        "127.0.0.1:0",
+        router(Arc::clone(&state), &Tracer::disabled()),
+        ServerConfig {
+            workers: 1,
+            registry: registry.clone(),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server binds");
+    let addr = server.local_addr().to_string();
+    let spec = spec("hostile", None);
+    create_tenant(&addr, &spec);
+    let batches = full_stream(&spec);
+    let mut batches = batches.iter();
+
+    // Each case rewrites the top-level entries of one collected doc.
+    type Edit = fn(&mut Vec<(String, Value)>);
+    let hostile: [(&str, Edit); 3] = [
+        ("unknown key", |entries| {
+            entries.push(("priority".to_string(), Value::Bool(true)));
+        }),
+        ("repeated id", |entries| {
+            let Some((_, Value::Object(doc))) = entries.iter_mut().find(|(k, _)| k == "doc") else {
+                panic!("a collected doc wraps its document");
+            };
+            doc.push(("id".to_string(), Value::Number(Number::U64(1))));
+        }),
+        ("negative collected_at", |entries| {
+            for (key, value) in entries.iter_mut() {
+                if key == "collected_at" {
+                    *value = Value::Number(Number::I64(-1));
+                }
+            }
+        }),
+    ];
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    for (what, change) in hostile {
+        let (period, docs) = batches.next().expect("a batch per case");
+        let mut sent = docs.clone();
+        let bad = sent.len() - 1;
+        let Value::Object(entries) = &mut sent[bad] else {
+            panic!("a collected doc is an object");
+        };
+        change(entries);
+        let (status, _, body) = roundtrip(
+            &mut stream,
+            "POST",
+            "/v1/ingest",
+            &ingest_body("hostile", *period, &sent),
+        );
+        assert_eq!(status, 400, "{what} must be refused: {body}");
+        assert!(
+            body.contains(&format!("docs[{bad}] is malformed")),
+            "{what}: the refusal names the document: {body}"
+        );
+        let (status, _, body) = roundtrip(
+            &mut stream,
+            "POST",
+            "/v1/ingest",
+            &ingest_body("hostile", *period, docs),
+        );
+        assert_eq!(status, 200, "the next valid ingest after {what}: {body}");
+    }
+    assert_eq!(registry.counter("http.handler_panics").get(), 0);
+    server.stop();
 }
